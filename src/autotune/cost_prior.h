@@ -3,10 +3,12 @@
 //
 // The prior is deliberately cheap — symbolic work only, no numeric
 // factorization and no solves:
-//   * per sparsify policy, the candidate matrix Â is computed once
-//     (sparsify_by_ratio / Algorithm 2) and shared by every candidate that
-//     uses it, together with a convergence-risk inflation derived from the
-//     paper's ‖Â⁻¹‖·‖S‖ indicator;
+//   * the drop candidates are ranked once per matrix (SparsifyRanking);
+//     per sparsify policy, the candidate matrix Â is taken from that one
+//     order (a fixed-ratio prefix, or Algorithm 2 over the same ranking) and
+//     shared by every candidate that uses it, together with a
+//     convergence-risk inflation derived from the paper's ‖Â⁻¹‖·‖S‖
+//     indicator;
 //   * per (Â pattern, fill level), the ILU(K) *symbolic* pattern and its
 //     level structure are computed once and shared;
 //   * the per-iteration cost comes from CostModel::pcg_iteration on that
@@ -24,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -92,6 +95,19 @@ std::vector<CandidatePrior> rank_candidates(
   };
   // Key: (mode, ratio). kOff and kAdaptive use sentinel ratios.
   std::map<std::pair<int, double>, PolicyState> policies;
+  // One drop order for every sparsified policy, ranked up to the largest
+  // ratio any of them needs.
+  const SparsifyOptions adaptive_options;
+  double max_ratio = -1.0;
+  for (const TuneConfig& c : candidates) {
+    if (c.sparsify == TuneSparsify::kFixed)
+      max_ratio = std::max(max_ratio, c.ratio_percent);
+    else if (c.sparsify == TuneSparsify::kAdaptive)
+      for (const double t : adaptive_options.ratios)
+        max_ratio = std::max(max_ratio, t);
+  }
+  std::optional<SparsifyRanking<T>> ranking;
+  if (max_ratio >= 0.0) ranking.emplace(a, max_ratio);
   auto policy_key = [](const TuneConfig& c) {
     return std::make_pair(static_cast<int>(c.sparsify),
                           c.sparsify == TuneSparsify::kFixed ? c.ratio_percent
@@ -103,16 +119,16 @@ std::vector<CandidatePrior> rank_candidates(
     if (it != policies.end()) return it->second;
     PolicyState st;
     if (c.sparsify == TuneSparsify::kFixed) {
-      SparsifySplit<T> split = sparsify_by_ratio(a, c.ratio_percent);
-      const ConvergenceIndicator ind =
-          convergence_indicator(split.a_hat, split.s);
+      ranking->select(c.ratio_percent);
+      const ConvergenceIndicator ind = ranking->indicator();
       // Each unit of the indicator above "free" costs extra iterations;
       // clamp so an unsafe split ranks behind but stays finite.
       st.risk_inflation = 1.0 + 0.5 * std::min(ind.product, 4.0);
       st.sparsify_seconds = host_model.sparsify_host(a.nnz(), 1).seconds;
-      st.a_hat = std::move(split.a_hat);
+      st.a_hat = ranking->split().a_hat;
     } else if (c.sparsify == TuneSparsify::kAdaptive) {
-      SparsifyDecision<T> d = wavefront_aware_sparsify(a);
+      SparsifyDecision<T> d =
+          wavefront_aware_sparsify(*ranking, adaptive_options);
       const SparsifyStep* chosen_step =
           d.steps.empty() ? nullptr : &d.steps.back();
       const double product =

@@ -108,6 +108,16 @@ SpcgSetup<T> spcg_setup(const Csr<T>& a, const SpcgOptions& opt = {}) {
     if (opt.sparsify_enabled) {
       s.decision = wavefront_aware_sparsify(a, opt.sparsify);
       precond_input = &s.decision->chosen.a_hat;
+      if (span.active()) {
+        const SparsifyDecision<T>& d = *s.decision;
+        span.arg("outcome", to_string(d.outcome));
+        span.arg("ratios_tried", static_cast<std::int64_t>(d.steps.size()));
+        span.arg("dropped", static_cast<std::int64_t>(d.chosen.dropped));
+        span.arg("wavefronts_original",
+                 static_cast<std::int64_t>(d.wavefronts_original));
+        span.arg("wavefronts_chosen",
+                 static_cast<std::int64_t>(d.wavefronts_chosen));
+      }
     }
   }
   s.sparsify_seconds = timer.seconds();

@@ -133,6 +133,35 @@ void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
                        std::span<index_t>(pos));
 }
 
+/// Load A's values into the sorted pattern `lu` (same rows, pattern ⊇ A's
+/// up to truncation): A's value at each of A's positions and 0 at fill
+/// positions — the initial state the numeric phase expects. Both rows are
+/// sorted, so one merge walk per row places every value. An entry of A
+/// absent from the pattern is legal only when `allow_missing` (the ILU(K)
+/// per-row fill cap truncated it); it is then simply not part of the
+/// preconditioner (ILUT-style drop).
+template <class T>
+void load_pattern_values(Csr<T>& lu, const Csr<T>& a, bool allow_missing) {
+  for (index_t i = 0; i < a.rows; ++i) {
+    auto q = static_cast<std::size_t>(lu.rowptr[static_cast<std::size_t>(i)]);
+    const auto q_end =
+        static_cast<std::size_t>(lu.rowptr[static_cast<std::size_t>(i) + 1]);
+    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
+         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = a.colind[static_cast<std::size_t>(p)];
+      while (q < q_end && lu.colind[q] < j) lu.values[q++] = T{0};
+      if (q < q_end && lu.colind[q] == j) {
+        lu.values[q++] = a.values[static_cast<std::size_t>(p)];
+        continue;
+      }
+      SPCG_CHECK_MSG(allow_missing,
+                     "factor pattern lost original entry (" << i << ", " << j
+                                                            << ")");
+    }
+    while (q < q_end) lu.values[q++] = T{0};
+  }
+}
+
 }  // namespace detail
 
 /// ILU(0): incomplete LU with zero fill-in, on A's own pattern. A must be
@@ -189,24 +218,8 @@ IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
   r.lu.cols = a.cols;
   r.lu.rowptr = sym.pattern.rowptr;
   r.lu.colind = sym.pattern.colind;
-  r.lu.values.assign(r.lu.colind.size(), T{0});
-  // Scatter A's values into the extended pattern. When the per-row fill cap
-  // tripped, an original entry may have been truncated out of the pattern —
-  // it is then simply absent from the preconditioner (ILUT-style drop).
-  // Without truncation a missing entry would be a symbolic-phase bug.
-  for (index_t i = 0; i < a.rows; ++i) {
-    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t q = r.lu.find(i, a.colind[static_cast<std::size_t>(p)]);
-      if (q < 0) {
-        SPCG_CHECK_MSG(sym.truncated_rows > 0,
-                       "ILU(K) pattern lost original entry at row " << i);
-        continue;
-      }
-      r.lu.values[static_cast<std::size_t>(q)] =
-          a.values[static_cast<std::size_t>(p)];
-    }
-  }
+  r.lu.values.resize(r.lu.colind.size());
+  detail::load_pattern_values(r.lu, a, sym.truncated_rows > 0);
   detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
                                r.elimination_ops);
   r.fill_nnz = r.lu.nnz() - a.nnz();
@@ -238,23 +251,7 @@ void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
   // original entries out of the pattern (IluResult does not retain the
   // symbolic truncated_rows count, so the K > 0 case cannot be stricter).
   const bool pattern_is_a = r.fill_nnz == 0 && r.lu.nnz() == a.nnz();
-  // Reset values to 0, then scatter A's values at A's positions — exactly
-  // the initial state iluk() hands to the numeric phase (for ILU(0) the
-  // pattern equals A's, so every find hits).
-  std::fill(r.lu.values.begin(), r.lu.values.end(), T{0});
-  for (index_t i = 0; i < a.rows; ++i) {
-    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t q = r.lu.find(i, a.colind[static_cast<std::size_t>(p)]);
-      if (q < 0) {
-        SPCG_CHECK_MSG(!pattern_is_a,
-                       "refactorize: pattern lost original entry at row " << i);
-        continue;
-      }
-      r.lu.values[static_cast<std::size_t>(q)] =
-          a.values[static_cast<std::size_t>(p)];
-    }
-  }
+  detail::load_pattern_values(r.lu, a, !pattern_is_a);
   r.breakdown = false;
   r.elimination_ops = 0;
   if (pos_scratch.empty()) {
@@ -275,25 +272,45 @@ struct TriangularFactors {
   Csr<T> u;  // upper triangular including diagonal
 };
 
+/// One counting pass sizes both factors exactly; one fill pass writes them.
 template <class T>
 TriangularFactors<T> split_lu(const IluResult<T>& r) {
-  TriangularFactors<T> f;
-  f.l = extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
-  // Insert the unit diagonal into L.
-  Csr<T> l_with_diag(r.lu.rows, r.lu.cols);
-  for (index_t i = 0; i < r.lu.rows; ++i) {
-    for (index_t p = f.l.rowptr[static_cast<std::size_t>(i)];
-         p < f.l.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      l_with_diag.colind.push_back(f.l.colind[static_cast<std::size_t>(p)]);
-      l_with_diag.values.push_back(f.l.values[static_cast<std::size_t>(p)]);
-    }
-    l_with_diag.colind.push_back(i);
-    l_with_diag.values.push_back(T{1});
-    l_with_diag.rowptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<index_t>(l_with_diag.colind.size());
+  const Csr<T>& lu = r.lu;
+  const index_t n = lu.rows;
+  TriangularFactors<T> f{Csr<T>(n, lu.cols), Csr<T>(n, lu.cols)};
+  for (index_t i = 0; i < n; ++i) {
+    const index_t begin = lu.rowptr[static_cast<std::size_t>(i)];
+    const index_t end = lu.rowptr[static_cast<std::size_t>(i) + 1];
+    index_t lower = 0;
+    for (index_t p = begin; p < end; ++p)
+      if (lu.colind[static_cast<std::size_t>(p)] < i) ++lower;
+    f.l.rowptr[static_cast<std::size_t>(i) + 1] =
+        f.l.rowptr[static_cast<std::size_t>(i)] + lower + 1;
+    f.u.rowptr[static_cast<std::size_t>(i) + 1] =
+        f.u.rowptr[static_cast<std::size_t>(i)] + (end - begin - lower);
   }
-  f.l = std::move(l_with_diag);
-  f.u = extract_triangle(r.lu, Triangle::kUpper, DiagonalPolicy::kInclude);
+  f.l.colind.resize(static_cast<std::size_t>(f.l.nnz()));
+  f.l.values.resize(static_cast<std::size_t>(f.l.nnz()));
+  f.u.colind.resize(static_cast<std::size_t>(f.u.nnz()));
+  f.u.values.resize(static_cast<std::size_t>(f.u.nnz()));
+  for (index_t i = 0; i < n; ++i) {
+    auto pl = static_cast<std::size_t>(f.l.rowptr[static_cast<std::size_t>(i)]);
+    auto pu = static_cast<std::size_t>(f.u.rowptr[static_cast<std::size_t>(i)]);
+    for (index_t p = lu.rowptr[static_cast<std::size_t>(i)];
+         p < lu.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = lu.colind[static_cast<std::size_t>(p)];
+      const T v = lu.values[static_cast<std::size_t>(p)];
+      if (j < i) {
+        f.l.colind[pl] = j;
+        f.l.values[pl++] = v;
+      } else {
+        f.u.colind[pu] = j;
+        f.u.values[pu++] = v;
+      }
+    }
+    f.l.colind[pl] = i;  // the unit diagonal closes each row of L
+    f.l.values[pl] = T{1};
+  }
   return f;
 }
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "sparse/csr.h"
@@ -49,6 +50,39 @@ struct LevelSchedule {
   }
 };
 
+namespace detail {
+
+/// The level-relax step behind every level computation: visiting rows in
+/// dependence order, level_of_row[i] = 1 + the largest level among row i's
+/// dependences (0 when it has none), over the stored entries at positions p
+/// of row i that `keep(p)` admits. Returns the number of levels.
+template <class T, class Keep>
+index_t relax_levels(const Csr<T>& a, Triangle tri,
+                     std::span<index_t> level_of_row, Keep keep) {
+  const index_t n = a.rows;
+  index_t num_levels = 0;
+  auto relax = [&](index_t i) {
+    index_t lvl = 0;
+    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
+         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      const index_t j = a.colind[static_cast<std::size_t>(p)];
+      const bool dep = (tri == Triangle::kLower) ? (j < i) : (j > i);
+      if (dep && keep(p))
+        lvl = std::max(lvl, level_of_row[static_cast<std::size_t>(j)] + 1);
+    }
+    level_of_row[static_cast<std::size_t>(i)] = lvl;
+    num_levels = std::max(num_levels, lvl + 1);
+  };
+  if (tri == Triangle::kLower) {
+    for (index_t i = 0; i < n; ++i) relax(i);
+  } else {
+    for (index_t i = n - 1; i >= 0; --i) relax(i);
+  }
+  return num_levels;
+}
+
+}  // namespace detail
+
 /// Build the level schedule for the strictly-triangular dependence pattern of
 /// `a`. `tri` selects which triangle drives the dependences: kLower scans
 /// rows in increasing order (forward substitution), kUpper in decreasing
@@ -60,25 +94,8 @@ LevelSchedule level_schedule(const Csr<T>& a, Triangle tri) {
   const index_t n = a.rows;
   LevelSchedule s;
   s.level_of_row.assign(static_cast<std::size_t>(n), 0);
-  index_t num_levels = 0;
-
-  auto relax = [&](index_t i) {
-    index_t lvl = 0;
-    for (index_t p = a.rowptr[static_cast<std::size_t>(i)];
-         p < a.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t j = a.colind[static_cast<std::size_t>(p)];
-      const bool dep = (tri == Triangle::kLower) ? (j < i) : (j > i);
-      if (dep) lvl = std::max(lvl, s.level_of_row[static_cast<std::size_t>(j)] + 1);
-    }
-    s.level_of_row[static_cast<std::size_t>(i)] = lvl;
-    num_levels = std::max(num_levels, lvl + 1);
-  };
-
-  if (tri == Triangle::kLower) {
-    for (index_t i = 0; i < n; ++i) relax(i);
-  } else {
-    for (index_t i = n - 1; i >= 0; --i) relax(i);
-  }
+  const index_t num_levels = detail::relax_levels(
+      a, tri, std::span<index_t>(s.level_of_row), [](index_t) { return true; });
   if (n == 0) {
     s.level_ptr.assign(1, 0);
     return s;
@@ -100,10 +117,15 @@ LevelSchedule level_schedule(const Csr<T>& a, Triangle tri) {
 
 /// Number of wavefronts of the lower-triangular pattern of `a` — the metric
 /// w_A used by the paper (Eq. 7). For a structurally symmetric matrix the
-/// upper-triangle count is identical by symmetry.
+/// upper-triangle count is identical by symmetry. Only the relax step runs;
+/// rows are not bucketed into levels.
 template <class T>
 index_t count_wavefronts(const Csr<T>& a) {
-  return level_schedule(a, Triangle::kLower).num_levels();
+  SPCG_CHECK(a.rows == a.cols);
+  std::vector<index_t> level_of_row(static_cast<std::size_t>(a.rows), 0);
+  return detail::relax_levels(a, Triangle::kLower,
+                              std::span<index_t>(level_of_row),
+                              [](index_t) { return true; });
 }
 
 /// Wavefront reduction percentage as defined by Eq. 7 of the paper:

@@ -297,6 +297,38 @@ TEST(SplitLu, ShapesAndUnitDiagonal) {
   }
 }
 
+TEST(SplitLu, MatchesTriangleExtraction) {
+  // The single counted pass must reproduce the triangle extraction exactly:
+  // L = strict lower part + a unit diagonal closing each row, U = diagonal +
+  // strict upper part, with ILU(K) fill included.
+  for (const index_t k : {index_t{0}, index_t{2}}) {
+    const IluResult<double> r = iluk(gen_grid_laplacian(9, 7, 2.0, 0.3, 5), k);
+    const TriangularFactors<double> f = split_lu(r);
+    const Csr<double> strict =
+        extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
+    const Csr<double> upper =
+        extract_triangle(r.lu, Triangle::kUpper, DiagonalPolicy::kInclude);
+    std::vector<index_t> l_rowptr{0}, l_colind;
+    std::vector<double> l_values;
+    for (index_t i = 0; i < strict.rows; ++i) {
+      for (index_t p = strict.rowptr[i]; p < strict.rowptr[i + 1]; ++p) {
+        l_colind.push_back(strict.colind[static_cast<std::size_t>(p)]);
+        l_values.push_back(strict.values[static_cast<std::size_t>(p)]);
+      }
+      l_colind.push_back(i);
+      l_values.push_back(1.0);
+      l_rowptr.push_back(static_cast<index_t>(l_colind.size()));
+    }
+    EXPECT_EQ(f.l.rowptr, l_rowptr) << "K=" << k;
+    EXPECT_EQ(f.l.colind, l_colind) << "K=" << k;
+    EXPECT_EQ(f.l.values, l_values) << "K=" << k;
+    EXPECT_EQ(f.u.rowptr, upper.rowptr) << "K=" << k;
+    EXPECT_EQ(f.u.colind, upper.colind) << "K=" << k;
+    EXPECT_EQ(f.u.values, upper.values) << "K=" << k;
+    EXPECT_EQ(f.l.colind.capacity(), f.l.colind.size()) << "K=" << k;
+  }
+}
+
 TEST(Preconditioner, JacobiApply) {
   const Csr<double> a = csr_from_triplets<double>(
       2, 2, {{0, 0, 2.0}, {1, 1, 4.0}});

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/spcg.h"
 #include "gen/suite.h"
 #include "runtime/runtime.h"
 #include "support/expo.h"
@@ -191,6 +192,35 @@ TEST(Trace, PrometheusExportSanitizesNamesAndRendersPhases) {
   // Exposition ends with a newline (required by the text format).
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
+}
+
+// The sparsify span answers "what did sparsification buy" on its own: the
+// outcome, how many ratios Algorithm 2 tried, the entries dropped and the
+// wavefront counts before and after.
+TEST(Trace, SetupSparsifySpanCarriesTheDecision) {
+  global_trace().clear();
+  global_trace().set_enabled(true);
+  const GeneratedMatrix g = generate_suite_matrix(23);
+  const SpcgSetup<double> setup = spcg_setup(g.a);
+  const std::vector<TraceEvent> events = global_trace().drain();
+  global_trace().set_enabled(false);
+
+  ASSERT_TRUE(setup.decision.has_value());
+  const SparsifyDecision<double>& d = *setup.decision;
+  const auto it = std::find_if(
+      events.begin(), events.end(), [](const TraceEvent& e) {
+        return e.name == "sparsify" && e.category == "setup";
+      });
+  ASSERT_NE(it, events.end());
+  EXPECT_EQ(arg_value(*it, "outcome"),
+            "\"" + std::string(to_string(d.outcome)) + "\"");
+  EXPECT_EQ(arg_value(*it, "ratios_tried"), std::to_string(d.steps.size()));
+  EXPECT_EQ(arg_value(*it, "dropped"), std::to_string(d.chosen.dropped));
+  EXPECT_EQ(arg_value(*it, "wavefronts_original"),
+            std::to_string(d.wavefronts_original));
+  EXPECT_EQ(arg_value(*it, "wavefronts_chosen"),
+            std::to_string(d.wavefronts_chosen));
+  EXPECT_GT(d.chosen.dropped, 0);
 }
 
 /// Fraction of `parent`'s duration covered by the union of same-thread
