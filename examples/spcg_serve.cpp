@@ -15,8 +15,8 @@
 //
 // Usage:
 //   spcg-serve [--requests N] [--matrices M] [--workers W] [--seed S]
-//              [--fill K] [--deadline-ms D] [--parts P] [--overlap]
-//              [--comm-reduced] [--transport KIND] [--inject-latency-us U]
+//              [--fill K] [--deadline-ms D] [--parts P] [--comm-reduced]
+//              [--transport KIND] [--inject-latency-us U]
 //              [--no-compare] [--trace-out FILE] [--metrics-out FILE]
 //              [--trace-every N] [--autotune] [--tune-db FILE]
 //
@@ -28,7 +28,6 @@
 //   --deadline-ms D  per-request relative deadline (default: none)
 //   --parts P        solve each request distributed over P thread-ranks
 //                    (default 1 = serial session)
-//   --overlap        use the communication-overlapped distributed body
 //   --comm-reduced   use the communication-reduced body (one fused
 //                    all-reduce per iteration); implies a distributed solve
 //   --transport K    transport backing the rank collectives: inproc
@@ -86,7 +85,6 @@ struct CliOptions {
   index_t fill = -1;  // <0: ILU(0)
   int deadline_ms = -1;
   int parts = 1;
-  bool overlap = false;
   bool comm_reduced = false;
   TransportOptions transport;
   bool compare = true;
@@ -100,8 +98,7 @@ struct CliOptions {
 void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--requests N] [--matrices M] [--workers W] [--seed S]\n"
-               "  [--fill K] [--deadline-ms D] [--parts P] [--overlap]"
-               " [--comm-reduced]\n"
+               "  [--fill K] [--deadline-ms D] [--parts P] [--comm-reduced]\n"
                "  [--transport inproc|shm|socket] [--inject-latency-us U]"
                " [--no-compare]\n"
                "  [--trace-out FILE] [--metrics-out FILE] [--trace-every N]\n"
@@ -187,8 +184,6 @@ bool parse(int argc, char** argv, CliOptions* out) {
         return false;
     } else if (arg == "--parts") {
       if (!next_int(1, 256, &out->parts)) return false;
-    } else if (arg == "--overlap") {
-      out->overlap = true;
     } else if (arg == "--comm-reduced") {
       out->comm_reduced = true;
     } else if (arg == "--transport") {
@@ -229,11 +224,6 @@ bool parse(int argc, char** argv, CliOptions* out) {
   if (out->autotune && out->parts > 1) {
     std::cerr << "error: --autotune supports serial requests only "
                  "(--parts 1)\n";
-    return false;
-  }
-  if (out->overlap && out->comm_reduced) {
-    std::cerr << "error: --overlap and --comm-reduced are mutually "
-                 "exclusive bodies\n";
     return false;
   }
   if (out->parts == 1 &&
@@ -340,10 +330,7 @@ int main(int argc, char** argv) {
                     : ", ILU(0)");
   if (cli.parts > 1) {
     std::cout << ", " << cli.parts << " parts";
-    if (cli.comm_reduced)
-      std::cout << " (comm-reduced)";
-    else if (cli.overlap)
-      std::cout << " (overlapped)";
+    if (cli.comm_reduced) std::cout << " (comm-reduced)";
     std::cout << ", transport " << to_string(cli.transport.kind);
     if (cli.transport.inject_latency_us > 0)
       std::cout << " +" << cli.transport.inject_latency_us << "us";
@@ -373,7 +360,6 @@ int main(int argc, char** argv) {
     if (cli.deadline_ms >= 0)
       req.deadline = std::chrono::milliseconds(cli.deadline_ms);
     req.parts = static_cast<index_t>(cli.parts);
-    req.overlap_comm = cli.overlap;
     req.comm_reduced = cli.comm_reduced;
     req.transport = cli.transport;
     req.autotune = cli.autotune;

@@ -54,9 +54,8 @@ struct ServiceRequest {
   /// Subdomain setups flow through the same service-wide SetupCache.
   index_t parts = 1;
   PartitionOptions partition;  // partitioning strategy when parts > 1
-  bool overlap_comm = false;   // communication-overlapped distributed body
   /// Communication-reduced distributed body (one fused all-reduce per
-  /// iteration); takes precedence over overlap_comm.
+  /// iteration) instead of the classic one.
   bool comm_reduced = false;
   /// Transport backing for distributed requests (kind, collective timeout,
   /// injected latency).
@@ -322,7 +321,6 @@ class SolveService {
         dopt.parts = job.request.parts;
         dopt.partition = job.request.partition;
         dopt.options = job.request.options;
-        dopt.overlap = job.request.overlap_comm;
         if (job.request.comm_reduced) dopt.body = DistBody::kCommReduced;
         dopt.transport = job.request.transport;
         DistSolverSession<T> session(job.request.a, dopt, cache_, &telemetry_);

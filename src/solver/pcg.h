@@ -1,9 +1,12 @@
-// Conjugate gradient solvers.
+// Conjugate gradient solvers on one address space.
 //
-// pcg() is the left-preconditioned CG of the paper's Algorithm 1, with the
-// same control flow: residual check at the top of the loop, preconditioner
-// application once per iteration, and a maximum-iteration cap. cg() is the
-// unpreconditioned special case.
+// pcg() is the left-preconditioned CG of the paper's Algorithm 1;
+// pipelined_pcg() is the algebraically equivalent pipelined recurrence with
+// one fused reduction per iteration (the single-synchronization schedule a
+// distributed solve needs; numerically it admits slightly more rounding
+// drift, which is why the classic version remains the default). cg() is the
+// unpreconditioned special case. Each is a thin call into the shared loops
+// of solver/cg_engine.h over a LocalSpace.
 //
 // Two extensions serve the transient-solve subsystem (src/transient/):
 //   * an optional initial guess x0 (warm start). When omitted the solver is
@@ -17,218 +20,66 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "analysis/alloc_audit.h"
 #include "precond/preconditioner.h"
+#include "solver/cg_engine.h"
 #include "sparse/csr.h"
-#include "sparse/norms.h"
-#include "sparse/ops.h"
 #include "support/trace.h"
 
 namespace spcg {
 
-/// Solver configuration (paper defaults: tol 1e-12, 1000 iterations).
-struct PcgOptions {
-  double tolerance = 1e-12;   // convergence when ||r|| < tolerance
-  bool relative = false;      // if set, compare against tolerance * ||b||
-  std::int32_t max_iterations = 1000;
-  bool record_history = false;  // keep ||r|| per iteration
-  /// Per-iteration trace sampling: when the global trace recorder is
-  /// enabled and trace_every > 0, every trace_every-th iteration emits
-  /// "iteration"/"spmv"/"precond"/"reduce" spans (and the SpTRSV sweep
-  /// spans nested under the preconditioner apply). 0 = per-iteration spans
-  /// off; the enclosing "pcg" span is always emitted while tracing. Does
-  /// not affect the setup cache key (solve-phase option).
-  std::int32_t trace_every = 0;
-};
+namespace detail {
 
-enum class SolveStatus {
-  kConverged,
-  kMaxIterations,
-  kBreakdown,  // division by (numerically) zero curvature or rho
-};
-
-/// Result of a CG/PCG run.
+/// One engine loop over a LocalSpace.
 template <class T>
-struct SolveResult {
-  std::vector<T> x;
-  SolveStatus status = SolveStatus::kMaxIterations;
-  std::int32_t iterations = 0;        // iterations actually performed
-  double final_residual_norm = 0.0;   // ||b - A x||_2 at exit (recomputed)
-  std::vector<double> residual_history;  // when record_history
+using LocalLoop = SolveResult<T> (*)(LocalSpace<T>&, std::span<const T>,
+                                     const PcgOptions&, std::span<const T>,
+                                     PcgWorkspace<T>&);
 
-  [[nodiscard]] bool converged() const {
-    return status == SolveStatus::kConverged;
-  }
-};
-
-/// Caller-owned scratch for pcg(). A default-constructed workspace is valid;
-/// the first solve through it sizes every vector and subsequent solves of
-/// the same dimension reuse the capacity (no heap traffic). The `x` member
-/// is a donor buffer for the result: pcg() moves it into SolveResult::x, so
-/// it is empty after the call — move a retired solution buffer back in
-/// before the next solve to keep the round trip allocation-free (see
-/// TransientSession for the canonical double-buffer pattern).
+/// Run `loop` over a LocalSpace inside the solve's top-level span.
 template <class T>
-struct PcgWorkspace {
-  std::vector<T> r, z, p, w, ax;
-  std::vector<T> x;  // donor buffer, consumed by each pcg() call
-};
+SolveResult<T> local_solve(const char* name, const Csr<T>& a,
+                           std::span<const T> b, const Preconditioner<T>& m,
+                           const PcgOptions& opt, std::span<const T> x0,
+                           std::type_identity_t<PcgWorkspace<T>*> ws,
+                           LocalLoop<T> loop) {
+  LocalSpace<T> vs(a, m);
+  Span span(name, "solve");
+  span.arg("rows", static_cast<std::int64_t>(a.rows));
+  span.arg("nnz", static_cast<std::int64_t>(a.nnz()));
+  PcgWorkspace<T> local;
+  SolveResult<T> res = loop(vs, b, opt, x0, ws != nullptr ? *ws : local);
+  span.arg("iterations", res.iterations);
+  span.arg("converged", res.converged());
+  return res;
+}
+
+}  // namespace detail
 
 /// Left-preconditioned conjugate gradient (Algorithm 1 of the paper).
 ///
-/// `x0`: optional initial guess; empty = start from zero (bitwise identical
-/// to the historical behavior — r0 is taken from b without an SpMV). When
-/// provided, x0.size() must equal a.rows and must not alias the workspace.
+/// `x0`: optional initial guess; empty = start from zero. When provided,
+/// x0.size() must equal a.rows and must not alias the workspace.
 /// `ws`: optional caller-owned scratch (see PcgWorkspace); null = private
 /// scratch allocated per call.
 template <class T>
 SolveResult<T> pcg(const Csr<T>& a, std::span<const T> b,
                    const Preconditioner<T>& m, const PcgOptions& opt = {},
                    std::span<const T> x0 = {}, PcgWorkspace<T>* ws = nullptr) {
-  SPCG_CHECK(a.rows == a.cols);
-  SPCG_CHECK(static_cast<index_t>(b.size()) == a.rows);
-  SPCG_CHECK(m.rows() == a.rows);
-  const auto n = static_cast<std::size_t>(a.rows);
-  const bool warm = !x0.empty();
-  if (warm) SPCG_CHECK(static_cast<index_t>(x0.size()) == a.rows);
+  return detail::local_solve("pcg", a, b, m, opt, x0, ws,
+                             &classic_cg<T, LocalSpace<T>>);
+}
 
-  Span pcg_span("pcg", "solve");
-  pcg_span.arg("rows", static_cast<std::int64_t>(a.rows));
-  pcg_span.arg("nnz", static_cast<std::int64_t>(a.nnz()));
-
-  PcgWorkspace<T> local;
-  PcgWorkspace<T>& wk = ws != nullptr ? *ws : local;
-
-  SolveResult<T> res;
-  res.x = std::move(wk.x);  // donor buffer (empty for the private workspace)
-  if (warm) {
-    res.x.assign(x0.begin(), x0.end());
-  } else {
-    res.x.assign(n, T{0});  // x0 = 0
-  }
-
-  const double b_norm = static_cast<double>(norm2(b));
-  if (b_norm == 0.0) {
-    // b = 0 has the exact solution x = 0. Under relative tolerance the
-    // threshold tolerance*||b|| would be 0 and ||r|| < 0 can never hold, so
-    // the solver could only exit at max_iterations; answer directly instead
-    // (an initial guess is discarded — the exact answer is known).
-    res.x.assign(n, T{0});
-    res.status = SolveStatus::kConverged;
-    if (opt.record_history) res.residual_history.push_back(0.0);
-    pcg_span.arg("iterations", std::int64_t{0});
-    return res;
-  }
-
-  const bool trace_iters = opt.trace_every > 0 && global_trace().enabled();
-  wk.r.assign(b.begin(), b.end());  // r0 = b - A x0 (x0 = 0: r0 = b)
-  if (warm) {
-    // r0 = b - A x0, computed against the solver's own copy of the guess so
-    // callers may pass a span into a buffer they are about to recycle.
-    wk.w.assign(n, T{0});
-    spmv(a, std::span<const T>(res.x), std::span<T>(wk.w));
-    for (std::size_t i = 0; i < n; ++i) wk.r[i] -= wk.w[i];
-  }
-  wk.z.assign(n, T{0});
-  wk.p.assign(n, T{0});
-  wk.w.assign(n, T{0});
-  {
-    const TraceSampleScope sample(trace_iters);
-    Span span("precond", "solve");
-    m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
-  }
-  wk.p.assign(wk.z.begin(), wk.z.end());
-
-  T rz = dot(std::span<const T>(wk.r), std::span<const T>(wk.z));
-  const double target =
-      opt.relative ? opt.tolerance * b_norm : opt.tolerance;  // b_norm > 0
-
-  double r_norm = static_cast<double>(norm2(std::span<const T>(wk.r)));
-  if (opt.record_history) res.residual_history.push_back(r_norm);
-
-  std::int32_t k = 0;
-  for (; k < opt.max_iterations; ++k) {
-    if (r_norm < target) {
-      res.status = SolveStatus::kConverged;
-      break;
-    }
-    // Allocation probe: after the warmup iteration (k = 0), a serial-path
-    // iteration must not touch the heap — the zero-allocation contract of
-    // ROADMAP Open item 4. Tracing and history recording allocate by
-    // design, so the steady-state claim only holds with both off; the
-    // auditor attributes those allocations to this phase either way.
-    const analysis::AllocAuditScope alloc_scope("pcg.iteration",
-                                                /*steady_state=*/k > 0);
-    // Per-iteration phase spans, sampled every trace_every-th iteration;
-    // unsampled iterations suppress these and any nested spans (the SpTRSV
-    // sweeps inside m.apply) on this thread.
-    const TraceSampleScope sample(trace_iters &&
-                                  k % opt.trace_every == 0);
-    Span iter_span("iteration", "solve");
-    iter_span.arg("k", k);
-    T pw;
-    {
-      Span span("spmv", "solve");
-      spmv(a, std::span<const T>(wk.p), std::span<T>(wk.w));
-    }
-    {
-      Span span("reduce", "solve");
-      pw = dot(std::span<const T>(wk.p), std::span<const T>(wk.w));
-    }
-    if (!(pw > T{0})) {  // SPD curvature must be positive; catches NaN too
-      res.status = SolveStatus::kBreakdown;
-      break;
-    }
-    const T alpha = rz / pw;
-    {
-      Span span("axpy", "solve");
-      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
-      axpy(-alpha, std::span<const T>(wk.w), std::span<T>(wk.r));
-    }
-    {
-      Span span("precond", "solve");
-      m.apply(std::span<const T>(wk.r), std::span<T>(wk.z));
-    }
-    T rz_next;
-    {
-      Span span("reduce", "solve");
-      rz_next = dot(std::span<const T>(wk.r), std::span<const T>(wk.z));
-    }
-    if (rz == T{0} || rz_next != rz_next) {  // NaN guard
-      res.status = SolveStatus::kBreakdown;
-      ++k;
-      break;
-    }
-    const T beta = rz_next / rz;
-    rz = rz_next;
-    {
-      Span span("axpy", "solve");
-      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p));
-    }
-    {
-      Span span("reduce", "solve");
-      r_norm = static_cast<double>(norm2(std::span<const T>(wk.r)));
-    }
-    if (opt.record_history) res.residual_history.push_back(r_norm);
-  }
-  if (res.status == SolveStatus::kMaxIterations && r_norm < target)
-    res.status = SolveStatus::kConverged;
-
-  res.iterations = k;
-  pcg_span.arg("iterations", k);
-  pcg_span.arg("converged", res.converged());
-  // Recompute the true residual (the recurrence can drift).
-  wk.ax.assign(n, T{0});
-  spmv(a, std::span<const T>(res.x), std::span<T>(wk.ax));
-  double true_norm = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(b[i]) - static_cast<double>(wk.ax[i]);
-    true_norm += d * d;
-  }
-  res.final_residual_norm = std::sqrt(true_norm);
-  return res;
+/// Pipelined PCG. Same options, initial guess and result as pcg().
+template <class T>
+SolveResult<T> pipelined_pcg(const Csr<T>& a, std::span<const T> b,
+                             const Preconditioner<T>& m,
+                             const PcgOptions& opt = {},
+                             std::span<const T> x0 = {}) {
+  return detail::local_solve("pipelined_pcg", a, b, m, opt, x0, nullptr,
+                             &pipelined_cg<T, LocalSpace<T>>);
 }
 
 /// Unpreconditioned CG.
@@ -245,6 +96,13 @@ template <class T>
 SolveResult<T> pcg(const Csr<T>& a, const std::vector<T>& b,
                    const Preconditioner<T>& m, const PcgOptions& opt = {}) {
   return pcg(a, std::span<const T>(b), m, opt);
+}
+
+template <class T>
+SolveResult<T> pipelined_pcg(const Csr<T>& a, const std::vector<T>& b,
+                             const Preconditioner<T>& m,
+                             const PcgOptions& opt = {}) {
+  return pipelined_pcg(a, std::span<const T>(b), m, opt);
 }
 
 template <class T>

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "analysis/alloc_audit.h"
 #include "analysis/lint.h"
@@ -17,6 +19,7 @@
 #include "core/sparsify.h"
 #include "dist/partition.h"
 #include "runtime/session.h"
+#include "solver/pcg.h"
 #include "gen/generators.h"
 #include "gen/suite.h"
 #include "precond/ilu.h"
@@ -673,25 +676,34 @@ TEST(AllocAudit, SteadyStateViolationBecomesDiagnostic) {
 TEST(AllocAudit, SerialPcgSteadyStateIsAllocationFree) {
   if (!analysis::alloc_audit_compiled())
     GTEST_SKIP() << "built without SPCG_ALLOC_AUDIT";
-  // The ROADMAP Open item 4 gate: with tracing and history off, a serial
-  // PCG iteration after warmup must not touch the heap.
+  // The ROADMAP Open item 4 gate: with tracing and history off, an
+  // iteration of either serial loop after warmup must not touch the heap.
   const Csr<double> a = good_matrix();
   const SolverSession<double> session(a, SpcgOptions{});
+  const IluPreconditioner<double> m(ilu0(a));
   std::vector<double> b(static_cast<std::size_t>(a.rows), 1.0);
-  analysis::AllocAudit::instance().reset();
-  analysis::AllocAudit::instance().set_enabled(true);
-  const auto r = session.solve(b);
-  analysis::AllocAudit::instance().set_enabled(false);
-  EXPECT_TRUE(r.solve.converged());
-  bool found = false;
-  for (const auto& s : analysis::AllocAudit::instance().snapshot()) {
-    if (s.phase != "pcg.iteration") continue;
-    found = true;
-    EXPECT_GE(s.steady_scopes, 2u);
-    EXPECT_EQ(s.steady_allocs, 0u)
-        << s.steady_violations << " steady iteration(s) allocated";
+  const std::pair<const char*, std::function<SolveResult<double>()>>
+      solvers[] = {
+          {"pcg (session)", [&] { return session.solve(b).solve; }},
+          {"pipelined_pcg", [&] { return pipelined_pcg(a, b, m); }},
+      };
+  for (const auto& [name, solve] : solvers) {
+    analysis::AllocAudit::instance().reset();
+    analysis::AllocAudit::instance().set_enabled(true);
+    const SolveResult<double> r = solve();
+    analysis::AllocAudit::instance().set_enabled(false);
+    EXPECT_TRUE(r.converged()) << name;
+    bool found = false;
+    for (const auto& s : analysis::AllocAudit::instance().snapshot()) {
+      if (s.phase != "pcg.iteration") continue;
+      found = true;
+      EXPECT_GE(s.steady_scopes, 2u) << name;
+      EXPECT_EQ(s.steady_allocs, 0u)
+          << name << ": " << s.steady_violations
+          << " steady iteration(s) allocated";
+    }
+    EXPECT_TRUE(found) << name;
   }
-  EXPECT_TRUE(found);
   analysis::AllocAudit::instance().reset();
 }
 

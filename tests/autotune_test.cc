@@ -485,9 +485,9 @@ TEST(AutotuneTuner, NearbyMatrixWarmStartsFromTheNeighborRecord) {
   EXPECT_EQ(db->size(), 2u);
 }
 
-// --------------------------------------------------------- fill-level wrapper
+// ---------------------------------------------------------------- fill level
 
-TEST(AutotuneFillLevel, TrialsAreSurfacedAndWrapperAgrees) {
+TEST(AutotuneFillLevel, TrialsAreSurfacedAndRepeatable) {
   const Csr<double> a = gen_poisson2d(16, 16);
   const std::vector<double> b = make_rhs(a, 11);
   const std::vector<index_t> candidates = {0, 1, 2, 3};
@@ -516,13 +516,12 @@ TEST(AutotuneFillLevel, TrialsAreSurfacedAndWrapperAgrees) {
   for (const KCandidateTrial& t : tuned.trials)
     EXPECT_GE(t.iterations, winner->iterations);
 
-  // The deprecated session.h wrapper forwards here and agrees exactly.
-  const KSelection<double> wrapped =
-      select_best_fill_level(a, b, fast_options(), candidates);
-  EXPECT_EQ(wrapped.k, tuned.k);
-  EXPECT_EQ(wrapped.trials.size(), tuned.trials.size());
-  EXPECT_EQ(wrapped.baseline.solve.iterations,
-            tuned.baseline.solve.iterations);
+  // Without telemetry the probe selects the same K from the same runs.
+  const KSelection<double> again =
+      tune_fill_level(a, b, fast_options(), candidates);
+  EXPECT_EQ(again.k, tuned.k);
+  EXPECT_EQ(again.trials.size(), tuned.trials.size());
+  EXPECT_EQ(again.baseline.solve.iterations, tuned.baseline.solve.iterations);
 }
 
 // ------------------------------------------------------------------- service

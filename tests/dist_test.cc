@@ -3,6 +3,8 @@
 // (DistComm/DistHalo run real concurrent ranks — the TSan CI job targets
 // them), 0-ULP distributed reductions against the serial oracle, the
 // distributed solver's bitwise P=1 equality plus multi-part convergence,
+// the CG engine's shared edge-case rules (b = 0, option validation, the
+// steady-state allocation probe) across serial and distributed loops,
 // the transport conformance suite (the same determinism / abort / halo /
 // bitwise contracts run against every Transport backing), and a forked
 // two-process socket smoke test.
@@ -11,21 +13,27 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/alloc_audit.h"
 #include "dist/dist.h"
 #include "gen/generators.h"
 #include "gen/suite.h"
 #include "runtime/runtime.h"
-#include "solver/pipelined_cg.h"
+#include "solver/pcg.h"
 #include "sparse/reorder.h"
 #include "support/rng.h"
 
@@ -152,10 +160,11 @@ TEST(DistPartition, SinglePartInteriorIsBitwiseTheMatrix) {
 /// dist_pcg_solve; returns one exception_ptr slot per rank.
 template <class Fn>
 std::vector<std::exception_ptr> run_world(index_t parts, Fn fn) {
-  CommWorld<double> world(parts);
+  const std::unique_ptr<TransportGroup> group =
+      make_transport_group(parts, {}, TransportOptions{});
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(parts));
   auto body = [&](index_t rank) {
-    Communicator<double> comm(&world, rank);
+    Communicator<double> comm(&group->transport(rank));
     try {
       fn(comm);
     } catch (...) {
@@ -666,31 +675,6 @@ TEST(DistSolve, SinglePartIsBitwiseEqualToSpcgSolve) {
   EXPECT_EQ(dist.solve.residual_history, serial.solve.residual_history);
 }
 
-TEST(DistSolve, SinglePartOverlappedIsBitwiseEqualToPipelinedPcg) {
-  const Csr<double> a = gen_poisson2d(20, 20);
-  const std::vector<double> b = make_rhs(a, 9);
-  SpcgOptions opt = fast_options();
-  opt.pcg.record_history = true;
-
-  SpcgSetup<double> setup = spcg_setup(a, opt);
-  const IluPreconditioner<double> m(setup.factors, setup.l_schedule,
-                                    setup.u_schedule, opt.executor);
-  const SolveResult<double> serial = pipelined_pcg(a, b, m, opt.pcg);
-
-  DistOptions dopt;
-  dopt.parts = 1;
-  dopt.options = opt;
-  dopt.overlap = true;
-  const DistSolveResult<double> dist =
-      dist_pcg_solve(b, dist_setup(a, dopt), dopt);
-
-  EXPECT_EQ(dist.solve.status, serial.status);
-  EXPECT_EQ(dist.solve.iterations, serial.iterations);
-  EXPECT_EQ(dist.solve.x, serial.x);  // bitwise
-  EXPECT_EQ(dist.solve.final_residual_norm, serial.final_residual_norm);
-  EXPECT_EQ(dist.solve.residual_history, serial.residual_history);
-}
-
 TEST(DistSolve, SinglePartCommReducedIsBitwiseEqualToPipelinedPcg) {
   const Csr<double> a = gen_poisson2d(20, 20);
   const std::vector<double> b = make_rhs(a, 6);
@@ -746,15 +730,15 @@ TEST(DistSolve, MultiPartConvergesOnPoisson) {
   ASSERT_TRUE(serial.solve.converged());
 
   for (const index_t parts : {2, 4}) {
-    for (const bool overlap : {false, true}) {
+    for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
       DistOptions dopt;
       dopt.parts = parts;
       dopt.options = opt;
-      dopt.overlap = overlap;
+      dopt.body = body;
       const DistSolveResult<double> dist =
           dist_pcg_solve(b, dist_setup(a, dopt), dopt);
       EXPECT_TRUE(dist.solve.converged())
-          << "P=" << parts << " overlap=" << overlap;
+          << "P=" << parts << " body=" << to_string(body);
       EXPECT_LT(dist.solve.final_residual_norm, 1e-6);
       // The block preconditioner is weaker than the global one; the bench's
       // acceptance bar is 1.5x on Poisson, the test margin is looser.
@@ -797,6 +781,143 @@ TEST(DistSolve, ZeroRhsAnswersDirectlyLikePcg) {
   for (const double v : dist.solve.x) EXPECT_EQ(v, 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// CgEngine — edge-case rules every loop shares, serial and distributed
+
+/// Counts applies, so a test can tell whether a solve did any work.
+class CountingPreconditioner final : public Preconditioner<double> {
+ public:
+  explicit CountingPreconditioner(index_t n) : n_(n) {}
+  void apply(std::span<const double> r, std::span<double> z) const override {
+    ++applies;
+    std::copy(r.begin(), r.end(), z.begin());
+  }
+  [[nodiscard]] index_t rows() const override { return n_; }
+  mutable int applies = 0;
+
+ private:
+  index_t n_;
+};
+
+TEST(CgEngine, ZeroRhsAnswersZeroOnEveryLoop) {
+  const Csr<double> a = gen_poisson2d(10, 10);
+  const std::vector<double> b(static_cast<std::size_t>(a.rows), 0.0);
+  const std::vector<double> x0 = make_rhs(a, 3);  // nonzero warm start
+  PcgOptions pcg_opt;
+  pcg_opt.tolerance = 1e-8;
+  pcg_opt.relative = true;
+  pcg_opt.record_history = true;
+
+  auto expect_zero = [](const SolveResult<double>& r, const std::string& what) {
+    EXPECT_EQ(r.status, SolveStatus::kConverged) << what;
+    EXPECT_EQ(r.iterations, 0) << what;
+    EXPECT_EQ(r.final_residual_norm, 0.0) << what;
+    EXPECT_EQ(r.residual_history, std::vector<double>{0.0}) << what;
+    for (const double v : r.x) ASSERT_EQ(v, 0.0) << what;
+  };
+  const IluPreconditioner<double> m(ilu0(a));
+  const std::span<const double> bs(b), x0s(x0);
+  expect_zero(pcg(a, bs, m, pcg_opt, x0s), "pcg");
+  expect_zero(pipelined_pcg(a, bs, m, pcg_opt, x0s), "pipelined_pcg");
+
+  for (const index_t parts : {1, 3}) {
+    for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+      DistOptions dopt;
+      dopt.parts = parts;
+      dopt.options = fast_options();
+      dopt.options.pcg = pcg_opt;
+      dopt.body = body;
+      const DistSolveResult<double> dist =
+          dist_pcg_solve(b, dist_setup(a, dopt), dopt);
+      expect_zero(dist.solve, "P=" + std::to_string(parts) + " " +
+                                  to_string(body));
+    }
+  }
+}
+
+TEST(CgEngine, RejectsInvalidOptionsBeforeAnyWork) {
+  const Csr<double> a = gen_poisson2d(10, 10);
+  const std::vector<double> b = make_rhs(a, 2);
+  DistOptions dopt;
+  dopt.parts = 2;
+  dopt.options = fast_options();
+  const DistSetup<double> setup = dist_setup(a, dopt);
+
+  struct Case {
+    const char* field;
+    std::function<void(PcgOptions&)> spoil;
+  };
+  const Case cases[] = {
+      {"tolerance",
+       [](PcgOptions& o) {
+         o.tolerance = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"tolerance",
+       [](PcgOptions& o) {
+         o.tolerance = std::numeric_limits<double>::infinity();
+       }},
+      {"tolerance", [](PcgOptions& o) { o.tolerance = -1e-8; }},
+      {"max_iterations", [](PcgOptions& o) { o.max_iterations = -5; }},
+      {"trace_every", [](PcgOptions& o) { o.trace_every = -1; }},
+  };
+  auto expect_rejected = [](const std::function<void()>& solve,
+                            const std::string& field, const char* via) {
+    try {
+      solve();
+      ADD_FAILURE() << via << " accepted a bad " << field;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << via << ": " << e.what();
+    }
+  };
+  for (const Case& c : cases) {
+    PcgOptions bad;
+    c.spoil(bad);
+    const CountingPreconditioner m(a.rows);
+    expect_rejected([&] { (void)pcg(a, b, m, bad); }, c.field, "pcg");
+    expect_rejected([&] { (void)pipelined_pcg(a, b, m, bad); }, c.field,
+                    "pipelined_pcg");
+    EXPECT_EQ(m.applies, 0) << c.field;
+    for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+      DistOptions d = dopt;
+      d.body = body;
+      c.spoil(d.options.pcg);
+      expect_rejected([&] { (void)dist_pcg_solve(b, setup, d); }, c.field,
+                      to_string(body));
+    }
+  }
+}
+
+TEST(AllocAudit, DistIterationsAreAllocationFree) {
+  if (!analysis::alloc_audit_compiled())
+    GTEST_SKIP() << "built without SPCG_ALLOC_AUDIT";
+  // The steady-state gate of the serial loops, on every rank of both
+  // distributed bodies (the probe counts each rank's thread separately).
+  const Csr<double> a = gen_poisson2d(20, 20);
+  const std::vector<double> b = make_rhs(a, 3);
+  for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+    DistOptions dopt;
+    dopt.parts = 3;
+    dopt.options = fast_options();
+    dopt.body = body;
+    const DistSetup<double> setup = dist_setup(a, dopt);
+    analysis::AllocAudit::instance().reset();
+    analysis::AllocAudit::instance().set_enabled(true);
+    const DistSolveResult<double> dist = dist_pcg_solve(b, setup, dopt);
+    analysis::AllocAudit::instance().set_enabled(false);
+    EXPECT_TRUE(dist.solve.converged()) << to_string(body);
+    bool found = false;
+    for (const auto& s : analysis::AllocAudit::instance().snapshot()) {
+      if (s.phase != "pcg.iteration") continue;
+      found = true;
+      EXPECT_GE(s.steady_scopes, 3u * 2u) << to_string(body);
+      EXPECT_EQ(s.steady_allocs, 0u) << to_string(body);
+    }
+    EXPECT_TRUE(found) << to_string(body);
+  }
+  analysis::AllocAudit::instance().reset();
+}
+
 TEST(DistSolve, CheckedExecutorRunsConcurrentRanks) {
   // Every rank drives the race-detecting SpTRSV executor inside its own
   // thread — a TSan-visible mix of the analysis layer and the communicator.
@@ -806,11 +927,11 @@ TEST(DistSolve, CheckedExecutorRunsConcurrentRanks) {
   dopt.parts = 2;
   dopt.options = fast_options();
   dopt.options.executor = TrsvExec::kLevelScheduledChecked;
-  for (const bool overlap : {false, true}) {
-    dopt.overlap = overlap;
+  for (const DistBody body : {DistBody::kClassic, DistBody::kCommReduced}) {
+    dopt.body = body;
     const DistSolveResult<double> dist =
         dist_pcg_solve(b, dist_setup(a, dopt), dopt);
-    EXPECT_TRUE(dist.solve.converged()) << "overlap=" << overlap;
+    EXPECT_TRUE(dist.solve.converged()) << "body=" << to_string(body);
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "core/sparsify.h"
 #include "gen/generators.h"
-#include "solver/pipelined_cg.h"
+#include "solver/pcg.h"
 
 namespace spcg {
 namespace {

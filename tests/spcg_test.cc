@@ -1,6 +1,7 @@
 // Tests for the end-to-end SPCG driver (Figure 2 pipeline).
 #include <gtest/gtest.h>
 
+#include "autotune/fill_level.h"
 #include "core/spcg.h"
 #include "core/spcg_report.h"
 #include "gen/generators.h"
@@ -85,8 +86,7 @@ TEST(Spcg, SelectBestFillLevelPrefersConvergenceThenIterations) {
   SpcgOptions opt;
   opt.pcg.tolerance = 1e-10;
   const std::vector<index_t> ks{0, 2, 5};
-  const KSelection<double> sel =
-      select_best_fill_level<double>(a, b, opt, ks);
+  const KSelection<double> sel = tune_fill_level(a, b, opt, ks);
   EXPECT_TRUE(sel.k == 0 || sel.k == 2 || sel.k == 5);
   // The winner must not lose to any candidate on (converged, iterations).
   for (const index_t k : ks) {

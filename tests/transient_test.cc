@@ -18,7 +18,7 @@
 #include "core/spcg.h"
 #include "gen/generators.h"
 #include "runtime/runtime.h"
-#include "solver/pipelined_cg.h"
+#include "solver/pcg.h"
 #include "transient/refactorize.h"
 #include "transient/step_policy.h"
 #include "transient/transient.h"
