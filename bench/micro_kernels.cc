@@ -1,13 +1,15 @@
 // google-benchmark microbenchmarks for the real (host CPU) kernels: SpMV,
-// triangular solves (serial and level-scheduled), ILU factorizations,
-// the wavefront inspector, and Algorithm 2 itself. These measure the actual
-// library code on the machine running the build, complementing the modeled
-// device numbers used by the figure/table benches.
+// triangular solves (serial L and U, level-scheduled L, the whole ILU
+// apply), ILU factorizations, the wavefront inspector, and Algorithm 2
+// itself. These measure the actual library code on the machine running the
+// build, complementing the modeled device numbers used by the figure/table
+// benches.
 #include <benchmark/benchmark.h>
 
 #include "core/sparsify.h"
 #include "gen/generators.h"
 #include "precond/ilu.h"
+#include "precond/preconditioner.h"
 #include "solver/pcg.h"
 #include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
@@ -38,6 +40,8 @@ void BM_Spmv(benchmark::State& state) {
 }
 BENCHMARK(BM_Spmv);
 
+// Items are the entries of the unit lower triangle, diagonal included, so
+// rates stay comparable whether or not L stores its unit diagonal.
 void BM_SptrsvSerial(benchmark::State& state) {
   const TriangularFactors<double> f = split_lu(ilu0(grid_matrix()));
   std::vector<double> b(static_cast<std::size_t>(f.l.rows), 1.0);
@@ -46,9 +50,38 @@ void BM_SptrsvSerial(benchmark::State& state) {
     sptrsv_lower_serial(f.l, std::span<const double>(b), std::span<double>(x));
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetItemsProcessed(state.iterations() * f.l.nnz());
+  state.SetItemsProcessed(state.iterations() * (f.l.nnz() + f.l.rows));
 }
 BENCHMARK(BM_SptrsvSerial);
+
+void BM_SptrsvUpperSerial(benchmark::State& state) {
+  const TriangularFactors<double> f = split_lu(ilu0(grid_matrix()));
+  std::vector<double> b(static_cast<std::size_t>(f.u.rows), 1.0);
+  std::vector<double> x(b.size());
+  for (auto _ : state) {
+    sptrsv_upper_serial(f.u, std::span<const double>(b), std::span<double>(x));
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.u.nnz());
+}
+BENCHMARK(BM_SptrsvUpperSerial);
+
+// The whole preconditioner apply: both serial sweeps, as PCG runs them.
+void BM_IluApplySerial(benchmark::State& state) {
+  const IluPreconditioner<double> m(ilu0(grid_matrix()));
+  std::vector<double> r(static_cast<std::size_t>(m.rows()), 1.0);
+  std::vector<double> z(r.size());
+  for (auto _ : state) {
+    m.apply(std::span<const double>(r), std::span<double>(z));
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  const TriangularFactors<double>& f = m.factors();
+  state.SetItemsProcessed(state.iterations() *
+                          (f.l.nnz() + f.l.rows + f.u.nnz()));
+}
+BENCHMARK(BM_IluApplySerial);
 
 void BM_SptrsvLevelScheduled(benchmark::State& state) {
   const TriangularFactors<double> f = split_lu(ilu0(grid_matrix()));
@@ -60,7 +93,7 @@ void BM_SptrsvLevelScheduled(benchmark::State& state) {
                         std::span<double>(x));
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetItemsProcessed(state.iterations() * f.l.nnz());
+  state.SetItemsProcessed(state.iterations() * (f.l.nnz() + f.l.rows));
 }
 BENCHMARK(BM_SptrsvLevelScheduled);
 

@@ -134,10 +134,10 @@ void lint_factor(const Csr<double>& a, const Options& opt, Tally& tally) {
 
   const TriangularFactors<double> f = split_lu(fact);
   tally.take("L", analysis::analyze_triangular(f.l, Triangle::kLower,
-                                               /*expect_unit_diag=*/true,
+                                               /*implicit_unit_diag=*/true,
                                                lopt, "L"));
   tally.take("U", analysis::analyze_triangular(f.u, Triangle::kUpper,
-                                               /*expect_unit_diag=*/false,
+                                               /*implicit_unit_diag=*/false,
                                                lopt, "U"));
 
   const LevelSchedule ls = level_schedule(f.l, Triangle::kLower);

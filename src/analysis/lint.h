@@ -330,11 +330,12 @@ Diagnostics analyze(const Coo<T>& a, const LintOptions& opt = {},
 
 // --- triangular factors -----------------------------------------------------
 
-/// Lint a split triangular factor (split_lu() convention: L unit-lower with
-/// stored diagonal, U upper with stored diagonal).
+/// Lint a split triangular factor. With `implicit_unit_diag` (the
+/// split_lu() L, sptrsv/sptrsv.h) no diagonal may be stored at all;
+/// otherwise (U) every row must store a nonzero diagonal.
 template <class T>
 Diagnostics analyze_triangular(const Csr<T>& f, Triangle tri,
-                               bool expect_unit_diag = false,
+                               bool implicit_unit_diag = false,
                                const LintOptions& opt = {},
                                const std::string& object = "factor") {
   Diagnostics out = analyze(f, opt, object);
@@ -359,16 +360,16 @@ Diagnostics analyze_triangular(const Csr<T>& f, Triangle tri,
       if (j == i) {
         has_diag = true;
         const double d = static_cast<double>(vals_i[p]);
-        if (d == 0.0)
+        if (implicit_unit_diag)
+          rep.error(kRuleTriDiagUnit,
+                    "stored diagonal " + detail::fmt(d) +
+                        " in a factor whose unit diagonal is implicit",
+                    i, i);
+        else if (d == 0.0)
           rep.error(kRuleTriDiagNonzero, "zero diagonal", i, i);
-        else if (expect_unit_diag && d != 1.0)
-          rep.warning(kRuleTriDiagUnit,
-                      "diagonal " + detail::fmt(d) +
-                          " violates the unit-L convention",
-                      i, i);
       }
     }
-    if (!has_diag)
+    if (!has_diag && !implicit_unit_diag)
       rep.error(kRuleTriDiagPresent, "row has no stored diagonal", i, i);
   }
   return out;

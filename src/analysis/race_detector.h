@@ -35,6 +35,7 @@
 #include "analysis/lint.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
+#include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
 
 namespace spcg::analysis {
@@ -184,9 +185,7 @@ template <class T, bool kLowerTri>
 RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
                                      const LevelSchedule& sched,
                                      std::span<const T> b, std::span<T> x) {
-  SPCG_CHECK(m.rows == m.cols);
-  SPCG_CHECK(static_cast<index_t>(b.size()) == m.rows);
-  SPCG_CHECK(static_cast<index_t>(x.size()) == m.rows);
+  spcg::detail::check_solve_shape(m, b.size(), x.size());
   const index_t n = m.rows;
   RaceReport report;
   report.levels = sched.num_levels();
@@ -207,30 +206,16 @@ RaceReport sptrsv_level_checked_impl(const Csr<T>& m,
     }
     for (index_t s = begin; s < end; ++s) {
       const index_t i = sched.rows_by_level[static_cast<std::size_t>(s)];
-      T acc = b[static_cast<std::size_t>(i)];
-      T diag{0};
-      for (index_t p = m.rowptr[static_cast<std::size_t>(i)];
-           p < m.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-        const index_t j = m.colind[static_cast<std::size_t>(p)];
-        const bool dep = kLowerTri ? (j < i) : (j > i);
-        if (dep) {
-          ++report.reads;
-          const index_t wl = written_at[static_cast<std::size_t>(j)];
-          if (wl == l)
-            report.conflicts.push_back({l, i, j, /*same_level=*/true});
-          else if (wl < 0)
-            report.conflicts.push_back({l, i, j, /*same_level=*/false});
-          acc -= m.values[static_cast<std::size_t>(p)] *
-                 x[static_cast<std::size_t>(j)];
-        } else if (j == i) {
-          diag = m.values[static_cast<std::size_t>(p)];
-        }
-      }
-      SPCG_CHECK_MSG(diag != T{0},
-                     "zero or missing diagonal at row " << i
-                                                        << " (level " << l
-                                                        << ")");
-      x[static_cast<std::size_t>(i)] = acc / diag;
+      const bool ok = spcg::detail::solve_row<kLowerTri>(
+          m, i, b[static_cast<std::size_t>(i)], x.data(), [&](index_t j) {
+            ++report.reads;
+            const index_t wl = written_at[static_cast<std::size_t>(j)];
+            if (wl == l)
+              report.conflicts.push_back({l, i, j, /*same_level=*/true});
+            else if (wl < 0)
+              report.conflicts.push_back({l, i, j, /*same_level=*/false});
+          });
+      if (!ok) spcg::detail::raise_bad_row(kLowerTri, i);
       ++report.writes;
     }
   }

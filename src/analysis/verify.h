@@ -168,9 +168,9 @@ Diagnostics verify_setup(const Csr<T>& a, const SpcgSetup<T>& s,
 
   // Split factors and their schedules.
   out.merge(analyze_triangular(s.factors.l, Triangle::kLower,
-                               /*expect_unit_diag=*/true, lint, "L"));
+                               /*implicit_unit_diag=*/true, lint, "L"));
   out.merge(analyze_triangular(s.factors.u, Triangle::kUpper,
-                               /*expect_unit_diag=*/false, lint, "U"));
+                               /*implicit_unit_diag=*/false, lint, "U"));
   out.merge(verify_level_schedule(s.factors.l, s.l_schedule, Triangle::kLower,
                                   "schedule(L)", vopt.max_per_rule));
   out.merge(verify_level_schedule(s.factors.u, s.u_schedule, Triangle::kUpper,

@@ -326,18 +326,13 @@ class Tuner {
   }
 
   /// Modeled per-iteration seconds of a built ILU-family setup, on the
-  /// structure the trial actually produced (not the prior's estimate).
-  double modeled_iteration_seconds(const Csr<T>& a,
-                                   const TriangularFactors<T>& factors,
+  /// structure the trial actually produced (its combined factor `lu`), not
+  /// the prior's estimate.
+  double modeled_iteration_seconds(const Csr<T>& a, const Csr<T>& lu,
                                    TrsvExec exec, const CostModel& device,
                                    const CostModel& host) const {
-    PcgIterationShape shape;
-    shape.n = a.rows;
-    shape.a_nnz = a.nnz();
-    shape.lower = trisolve_structure(factors.l, Triangle::kLower);
-    shape.upper = trisolve_structure(factors.u, Triangle::kUpper);
     const CostModel& model = exec == TrsvExec::kSerial ? host : device;
-    return model.pcg_iteration(shape).seconds;
+    return model.pcg_iteration(pcg_iteration_shape(a, lu)).seconds;
   }
 
   /// Wavefront-free (SAI / block-Jacobi) per-iteration model: SpMV with A,
@@ -380,7 +375,7 @@ class Tuner {
       trial.setup_seconds = setup_timer.seconds();
       trial.setup_cache_hit = session.setup_cache_hit();
       trial.per_iteration_seconds = modeled_iteration_seconds(
-          a, session.setup().factors, config.executor, device, host);
+          a, session.setup().factorization.lu, config.executor, device, host);
       const std::int32_t cap = abort_cap(trial.per_iteration_seconds);
       // Re-cap the solve without invalidating the cached setup: pcg options
       // are solve-phase and not part of the setup key, so run pcg directly
@@ -405,7 +400,7 @@ class Tuner {
           level_schedule(factors.u, Triangle::kUpper);
       trial.setup_seconds = setup_timer.seconds();
       trial.per_iteration_seconds = modeled_iteration_seconds(
-          a, factors, config.executor, device, host);
+          a, fact.lu, config.executor, device, host);
       const std::int32_t cap = abort_cap(trial.per_iteration_seconds);
       pcg_opt.max_iterations = cap;
       const IluApplier<T> m(factors, l_sched, u_sched, config.executor);

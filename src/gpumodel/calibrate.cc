@@ -234,8 +234,10 @@ std::vector<Measurement> host_measurements(const Csr<double>& a,
   Measurement tri_l;
   tri_l.kind = Measurement::Kind::kTrisolve;
   tri_l.rows = a.rows;
-  tri_l.nnz = factors.l.nnz();
-  tri_l.structure = trisolve_structure(factors.l, Triangle::kLower);
+  // Structures come from the combined factor, as in pcg_iteration_shape(),
+  // so fitted coefficients apply to the shapes the model is queried with.
+  tri_l.structure = trisolve_structure(fact.lu, Triangle::kLower);
+  tri_l.nnz = tri_l.structure.nnz;
   tri_l.seconds = median_seconds([&] {
     sptrsv_lower_serial(factors.l, std::span<const double>(x),
                         std::span<double>(y));
@@ -245,8 +247,8 @@ std::vector<Measurement> host_measurements(const Csr<double>& a,
   Measurement tri_u;
   tri_u.kind = Measurement::Kind::kTrisolve;
   tri_u.rows = a.rows;
-  tri_u.nnz = factors.u.nnz();
-  tri_u.structure = trisolve_structure(factors.u, Triangle::kUpper);
+  tri_u.structure = trisolve_structure(fact.lu, Triangle::kUpper);
+  tri_u.nnz = tri_u.structure.nnz;
   tri_u.seconds = median_seconds([&] {
     sptrsv_upper_serial(factors.u, std::span<const double>(x),
                         std::span<double>(y));

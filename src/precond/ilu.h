@@ -263,12 +263,13 @@ void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
   }
 }
 
-/// Split a combined LU factor into explicit triangular factors:
-/// L gets the strict lower part plus a stored unit diagonal; U gets the
-/// diagonal and strict upper part.
+/// Split a combined LU factor into explicit triangular factors (the
+/// sptrsv/sptrsv.h convention): L gets the strict lower part, its unit
+/// diagonal implicit and not stored; U gets the diagonal and the strict
+/// upper part, the diagonal first in each row.
 template <class T>
 struct TriangularFactors {
-  Csr<T> l;  // unit lower triangular (diagonal stored as 1)
+  Csr<T> l;  // strictly lower triangular, unit diagonal implicit
   Csr<T> u;  // upper triangular including diagonal
 };
 
@@ -285,7 +286,7 @@ TriangularFactors<T> split_lu(const IluResult<T>& r) {
     for (index_t p = begin; p < end; ++p)
       if (lu.colind[static_cast<std::size_t>(p)] < i) ++lower;
     f.l.rowptr[static_cast<std::size_t>(i) + 1] =
-        f.l.rowptr[static_cast<std::size_t>(i)] + lower + 1;
+        f.l.rowptr[static_cast<std::size_t>(i)] + lower;
     f.u.rowptr[static_cast<std::size_t>(i) + 1] =
         f.u.rowptr[static_cast<std::size_t>(i)] + (end - begin - lower);
   }
@@ -308,8 +309,6 @@ TriangularFactors<T> split_lu(const IluResult<T>& r) {
         f.u.values[pu++] = v;
       }
     }
-    f.l.colind[pl] = i;  // the unit diagonal closes each row of L
-    f.l.values[pl] = T{1};
   }
   return f;
 }

@@ -42,16 +42,13 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
   SPCG_CHECK(opt.max_fill >= 1);
   const index_t n = a.rows;
 
-  // Rows of the factor built so far (combined layout per row).
-  std::vector<std::vector<index_t>> row_cols(static_cast<std::size_t>(n));
-  std::vector<std::vector<T>> row_vals(static_cast<std::size_t>(n));
-  std::vector<index_t> diag_in_row(static_cast<std::size_t>(n), -1);
-
-  // Dense workspace.
+  // Dense workspace, reused by every row.
   std::vector<T> w(static_cast<std::size_t>(n), T{0});
   std::vector<char> in_w(static_cast<std::size_t>(n), 0);
   std::vector<index_t> pattern;  // nonzero positions of w (unsorted)
+  std::vector<std::pair<T, index_t>> lower, upper;  // kept parts of a row
 
+  // Finished rows are appended to out.lu; elimination reads them in place.
   IluResult<T> out;
   out.lu.rows = n;
   out.lu.cols = n;
@@ -91,8 +88,11 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
       const index_t k = pattern[t];
       if (k >= i) break;
       T lik = w[static_cast<std::size_t>(k)];
-      const auto dk = static_cast<std::size_t>(diag_in_row[static_cast<std::size_t>(k)]);
-      const T pivot = row_vals[static_cast<std::size_t>(k)][dk];
+      const auto dk =
+          static_cast<std::size_t>(out.diag_pos[static_cast<std::size_t>(k)]);
+      const auto kend = static_cast<std::size_t>(
+          out.lu.rowptr[static_cast<std::size_t>(k) + 1]);
+      const T pivot = out.lu.values[dk];
       lik /= pivot;
       if (std::abs(lik) < drop) {
         // Drop the multiplier entirely (first threshold).
@@ -100,12 +100,10 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
         continue;
       }
       w[static_cast<std::size_t>(k)] = lik;
-      out.elimination_ops +=
-          row_cols[static_cast<std::size_t>(k)].size() - dk - 1;
-      for (std::size_t q = dk + 1; q < row_cols[static_cast<std::size_t>(k)].size();
-           ++q) {
-        const index_t j = row_cols[static_cast<std::size_t>(k)][q];
-        const T upd = -lik * row_vals[static_cast<std::size_t>(k)][q];
+      out.elimination_ops += kend - dk - 1;
+      for (std::size_t q = dk + 1; q < kend; ++q) {
+        const index_t j = out.lu.colind[q];
+        const T upd = -lik * out.lu.values[q];
         if (!in_w[static_cast<std::size_t>(j)]) {
           // New fill: subject to the drop tolerance immediately.
           if (std::abs(upd) < drop) continue;
@@ -123,7 +121,8 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
     }
 
     // Gather, apply thresholds, keep top-p per part.
-    std::vector<std::pair<T, index_t>> lower, upper;
+    lower.clear();
+    upper.clear();
     T diag_val{0};
     for (const index_t j : pattern) {
       const T v = w[static_cast<std::size_t>(j)];
@@ -162,20 +161,21 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
       out.breakdown = true;
     }
 
-    auto& rc = row_cols[static_cast<std::size_t>(i)];
-    auto& rv = row_vals[static_cast<std::size_t>(i)];
-    rc.reserve(lower.size() + upper.size() + 1);
+    auto& rc = out.lu.colind;
+    auto& rv = out.lu.values;
     for (const auto& [mag, j] : lower) {
       rc.push_back(j);
       rv.push_back(w[static_cast<std::size_t>(j)]);
     }
-    diag_in_row[static_cast<std::size_t>(i)] = static_cast<index_t>(rc.size());
+    out.diag_pos[static_cast<std::size_t>(i)] = static_cast<index_t>(rc.size());
     rc.push_back(i);
     rv.push_back(diag_val);
     for (const auto& [mag, j] : upper) {
       rc.push_back(j);
       rv.push_back(w[static_cast<std::size_t>(j)]);
     }
+    out.lu.rowptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<index_t>(rc.size());
     // Clear the stash.
     for (const auto& [mag, j] : lower) {
       w[static_cast<std::size_t>(j)] = T{0};
@@ -187,20 +187,6 @@ IluResult<T> ilut(const Csr<T>& a, const IlutOptions& opt = {}) {
     }
   }
 
-  // Assemble the CSR factor.
-  for (index_t i = 0; i < n; ++i) {
-    out.diag_pos[static_cast<std::size_t>(i)] = static_cast<index_t>(
-        out.lu.colind.size() +
-        static_cast<std::size_t>(diag_in_row[static_cast<std::size_t>(i)]));
-    out.lu.colind.insert(out.lu.colind.end(),
-                         row_cols[static_cast<std::size_t>(i)].begin(),
-                         row_cols[static_cast<std::size_t>(i)].end());
-    out.lu.values.insert(out.lu.values.end(),
-                         row_vals[static_cast<std::size_t>(i)].begin(),
-                         row_vals[static_cast<std::size_t>(i)].end());
-    out.lu.rowptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<index_t>(out.lu.colind.size());
-  }
   out.fill_nnz = out.lu.nnz() - a.nnz();
   return out;
 }

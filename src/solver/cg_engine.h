@@ -113,7 +113,7 @@ struct PcgWorkspace {
 
 namespace detail {
 
-// The two partial sums are kept out of line: inlined into the loops, GCC
+// The partial sums are kept out of line: inlined into the loops, GCC
 // keeps the accumulator in memory (a store-forward stall per element),
 // which doubles their cost on vectors that do not fit in cache.
 
@@ -131,6 +131,35 @@ template <class T>
   T acc{0};
   for (const T& v : x) acc += v * v;
   return acc;
+}
+
+/// Partial sums of the residual check, (r, z) and ||r||^2, plus (w, z) when
+/// w is given (the pipelined schedule).
+template <class T>
+struct ResidualSums {
+  T rz{0}, rr{0}, wz{0};
+};
+
+/// One pass for ResidualSums. Each sum keeps its own in-order accumulator,
+/// so each is bitwise equal to its partial_dot / partial_sumsq twin while
+/// r and z are streamed once instead of two or three times.
+template <class T>
+[[gnu::noinline]] ResidualSums<T> partial_residual_sums(
+    std::span<const T> r, std::span<const T> z, std::span<const T> w = {}) {
+  T rz{0}, rr{0}, wz{0};
+  if (w.empty()) {
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      rz += r[i] * z[i];
+      rr += r[i] * r[i];
+    }
+  } else {
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      rz += r[i] * z[i];
+      rr += r[i] * r[i];
+      wz += w[i] * z[i];
+    }
+  }
+  return {rz, rr, wz};
 }
 
 /// Finish a reduced sum of squares the way norm2() finishes: cast back to
@@ -230,9 +259,9 @@ SolveResult<T> classic_cg(Space& vs, std::span<const T> b,
   }
   wk.p.assign(wk.z.begin(), wk.z.end());
 
-  red[0] = static_cast<double>(detail::partial_dot(
-      std::span<const T>(wk.r), std::span<const T>(wk.z)));
-  red[1] = static_cast<double>(detail::partial_sumsq(std::span<const T>(wk.r)));
+  const detail::ResidualSums<T> sums0 = detail::partial_residual_sums(
+      std::span<const T>(wk.r), std::span<const T>(wk.z));
+  red = {static_cast<double>(sums0.rz), static_cast<double>(sums0.rr)};
   vs.reduce(std::span<double>(red));
   T rz = static_cast<T>(red[0]);
   double r_norm = detail::norm_from_sumsq<T>(red[1]);
@@ -280,10 +309,9 @@ SolveResult<T> classic_cg(Space& vs, std::span<const T> b,
     }
     {
       Span span(Space::kReduceSpan, cat);
-      red[0] = static_cast<double>(detail::partial_dot(
-          std::span<const T>(wk.r), std::span<const T>(wk.z)));
-      red[1] =
-          static_cast<double>(detail::partial_sumsq(std::span<const T>(wk.r)));
+      const detail::ResidualSums<T> sums = detail::partial_residual_sums(
+          std::span<const T>(wk.r), std::span<const T>(wk.z));
+      red = {static_cast<double>(sums.rz), static_cast<double>(sums.rr)};
       vs.reduce(std::span<double>(red));
     }
     const T rz_next = static_cast<T>(red[0]);
@@ -339,13 +367,12 @@ SolveResult<T> pipelined_cg(Space& vs, std::span<const T> b,
       vs.precondition(std::span<const T>(wk.r), std::span<T>(wk.z));
     }
     vs.matvec(std::span<const T>(wk.z), std::span<T>(wk.w));
-    red[0] = static_cast<double>(detail::partial_sumsq(b));
-    red[1] = static_cast<double>(detail::partial_dot(
-        std::span<const T>(wk.r), std::span<const T>(wk.z)));
-    red[2] =
-        static_cast<double>(detail::partial_sumsq(std::span<const T>(wk.r)));
-    red[3] = static_cast<double>(detail::partial_dot(
-        std::span<const T>(wk.w), std::span<const T>(wk.z)));
+    const detail::ResidualSums<T> sums0 = detail::partial_residual_sums(
+        std::span<const T>(wk.r), std::span<const T>(wk.z),
+        std::span<const T>(wk.w));
+    red = {static_cast<double>(detail::partial_sumsq(b)),
+           static_cast<double>(sums0.rz), static_cast<double>(sums0.rr),
+           static_cast<double>(sums0.wz)};
     vs.reduce_overlapping(std::span<double>(red), apply_w);
   }
   const double b_norm = detail::norm_from_sumsq<T>(red[0]);
@@ -405,12 +432,12 @@ SolveResult<T> pipelined_cg(Space& vs, std::span<const T> b,
     // plus next iteration's delta, overlapped with mw = M^{-1} w.
     {
       Span span(Space::kReduceSpan, cat);
-      red[0] = static_cast<double>(detail::partial_dot(
-          std::span<const T>(wk.r), std::span<const T>(wk.z)));
-      red[1] =
-          static_cast<double>(detail::partial_sumsq(std::span<const T>(wk.r)));
-      red[2] = static_cast<double>(detail::partial_dot(
-          std::span<const T>(wk.w), std::span<const T>(wk.z)));
+      const detail::ResidualSums<T> sums = detail::partial_residual_sums(
+          std::span<const T>(wk.r), std::span<const T>(wk.z),
+          std::span<const T>(wk.w));
+      red[0] = static_cast<double>(sums.rz);
+      red[1] = static_cast<double>(sums.rr);
+      red[2] = static_cast<double>(sums.wz);
     }
     vs.reduce_overlapping(std::span<double>(red.data(), 3), apply_w);
     gamma = static_cast<T>(red[0]);

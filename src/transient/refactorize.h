@@ -46,7 +46,7 @@ struct NumericRefreshWorkspace {
   /// For each entry of the residual matrix S: its position in A.
   std::vector<index_t> s_pos;
   /// For each entry of factors.l / factors.u: its position in the combined
-  /// factorization.lu; -1 marks L's stored unit diagonal (always 1).
+  /// factorization.lu.
   std::vector<index_t> l_map;
   std::vector<index_t> u_map;
   /// Shape guards: the A this workspace was built against.
@@ -99,28 +99,20 @@ NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
   }
 
   const Csr<T>& lu = setup.factorization.lu;
-  const Csr<T>& l = setup.factors.l;
-  const Csr<T>& u = setup.factors.u;
-  ws.l_map.assign(static_cast<std::size_t>(l.nnz()), -1);
-  ws.u_map.assign(static_cast<std::size_t>(u.nnz()), -1);
-  for (index_t i = 0; i < l.rows; ++i) {
-    for (index_t p = l.rowptr[static_cast<std::size_t>(i)];
-         p < l.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t col = l.colind[static_cast<std::size_t>(p)];
-      if (col == i) continue;  // stored unit diagonal: stays -1
-      const index_t q = lu.find(i, col);
-      SPCG_CHECK_MSG(q >= 0, "L entry missing from combined factor at row "
-                                 << i);
-      ws.l_map[static_cast<std::size_t>(p)] = q;
-    }
-    for (index_t p = u.rowptr[static_cast<std::size_t>(i)];
-         p < u.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      const index_t q = lu.find(i, u.colind[static_cast<std::size_t>(p)]);
-      SPCG_CHECK_MSG(q >= 0, "U entry missing from combined factor at row "
-                                 << i);
-      ws.u_map[static_cast<std::size_t>(p)] = q;
-    }
-  }
+  auto map_factor = [&](const Csr<T>& f, std::vector<index_t>& map,
+                        const char* name) {
+    map.assign(static_cast<std::size_t>(f.nnz()), -1);
+    for (index_t i = 0; i < f.rows; ++i)
+      for (index_t p = f.rowptr[static_cast<std::size_t>(i)];
+           p < f.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
+        const index_t q = lu.find(i, f.colind[static_cast<std::size_t>(p)]);
+        SPCG_CHECK_MSG(q >= 0, name << " entry missing from combined factor "
+                                       "at row " << i);
+        map[static_cast<std::size_t>(p)] = q;
+      }
+  };
+  map_factor(setup.factors.l, ws.l_map, "L");
+  map_factor(setup.factors.u, ws.u_map, "U");
   return ws;
 }
 
@@ -167,9 +159,7 @@ void refresh_setup_numerics(SpcgSetup<T>& setup, const Csr<T>& a_new,
              u.values.size() == ws.u_map.size());
   const std::vector<T>& lu_values = setup.factorization.lu.values;
   for (std::size_t j = 0; j < ws.l_map.size(); ++j)
-    l.values[j] = ws.l_map[j] < 0
-                      ? T{1}
-                      : lu_values[static_cast<std::size_t>(ws.l_map[j])];
+    l.values[j] = lu_values[static_cast<std::size_t>(ws.l_map[j])];
   for (std::size_t j = 0; j < ws.u_map.size(); ++j)
     u.values[j] = lu_values[static_cast<std::size_t>(ws.u_map[j])];
 }

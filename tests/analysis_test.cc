@@ -151,12 +151,27 @@ TEST(Lint, ZeroDiagonalInFactorFires) {
 }
 
 TEST(Lint, MissingDiagonalInFactorFires) {
-  // A strictly-lower L (no stored diagonal) violates the split_lu convention.
+  // U must store its pivot in every row; row 1 has none.
+  const Csr<double> u = csr_from_triplets<double>(
+      3, 3, {{0, 0, 1.0}, {0, 2, 0.5}, {1, 2, 0.25}, {2, 2, 2.0}});
+  const Diagnostics d =
+      analysis::analyze_triangular(u, Triangle::kUpper, false, {}, "U");
+  EXPECT_TRUE(d.has_rule(analysis::kRuleTriDiagPresent)) << d;
+}
+
+TEST(Lint, StoredDiagonalInUnitLowerFactorFires) {
+  // split_lu()'s L is strictly lower and lints clean; storing its unit
+  // diagonal breaks the implicit-unit convention the SpTRSV kernels read.
+  const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
+  EXPECT_TRUE(
+      analysis::analyze_triangular(f.l, Triangle::kLower, true, {}, "L").ok());
   const Csr<double> l = csr_from_triplets<double>(
       3, 3, {{0, 0, 1.0}, {1, 0, 0.5}, {2, 1, 0.25}});
   const Diagnostics d =
       analysis::analyze_triangular(l, Triangle::kLower, true, {}, "L");
-  EXPECT_TRUE(d.has_rule(analysis::kRuleTriDiagPresent)) << d;
+  EXPECT_FALSE(d.ok());
+  EXPECT_TRUE(d.has_rule(analysis::kRuleTriDiagUnit)) << d;
+  EXPECT_FALSE(d.has_rule(analysis::kRuleTriDiagPresent)) << d;
 }
 
 TEST(Lint, NonPositiveDiagonalOnSpdInputWarns) {
@@ -394,12 +409,13 @@ TEST(Hardening, CheckedIndexCastRejectsOverflow) {
 }
 
 TEST(Hardening, LevelScheduledSolveThrowsOnZeroDiagonal) {
+  // L's diagonal is implicit, so the zero pivot goes into U.
   const TriangularFactors<double> f = split_lu(ilu0(good_matrix()));
-  Csr<double> l = f.l;
-  l.values[static_cast<std::size_t>(l.find(2, 2))] = 0.0;
-  const LevelSchedule ls = level_schedule(l, Triangle::kLower);
-  std::vector<double> b(static_cast<std::size_t>(l.rows), 1.0), x(b.size());
-  EXPECT_THROW(sptrsv_lower_levels(l, ls, std::span<const double>(b),
+  Csr<double> u = f.u;
+  u.values[static_cast<std::size_t>(u.find(2, 2))] = 0.0;
+  const LevelSchedule us = level_schedule(u, Triangle::kUpper);
+  std::vector<double> b(static_cast<std::size_t>(u.rows), 1.0), x(b.size());
+  EXPECT_THROW(sptrsv_upper_levels(u, us, std::span<const double>(b),
                                    std::span<double>(x)),
                Error);
 }

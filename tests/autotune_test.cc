@@ -613,31 +613,37 @@ TEST(AutotuneCalibration, CalibratedModelRanksConfigsLikeMeasurements) {
   const CostModel model(cal.spec, 8);
   const std::vector<double> x(static_cast<std::size_t>(a.rows), 1.0);
   std::vector<double> y(static_cast<std::size_t>(a.rows), 0.0);
-  std::vector<double> measured, predicted;
+  std::vector<TriangularFactors<double>> factors;
+  std::vector<double> predicted;
   for (const index_t k : {0, 1, 3}) {
     const IluResult<double> fact = k == 0 ? ilu0(a) : iluk(a, k);
-    const TriangularFactors<double> factors = split_lu(fact);
-    PcgIterationShape shape;
-    shape.n = a.rows;
-    shape.a_nnz = a.nnz();
-    shape.lower = trisolve_structure(factors.l, Triangle::kLower);
-    shape.upper = trisolve_structure(factors.u, Triangle::kUpper);
-    predicted.push_back(model.pcg_iteration(shape).seconds);
+    predicted.push_back(
+        model.pcg_iteration(pcg_iteration_shape(a, fact.lu)).seconds);
+    factors.push_back(split_lu(fact));
+  }
 
-    // Measured proxy for one iteration's kernel work: the two triangular
-    // solves plus the SpMV, median of repeats.
-    std::vector<double> times;
-    for (int r = 0; r < 9; ++r) {
+  // Measured proxy for one iteration's kernel work: the two triangular
+  // solves plus the SpMV. The repeats visit the three configurations
+  // round-robin, so a burst of load from elsewhere on the host slows all
+  // three alike, and each round starts one configuration later, so none
+  // always runs first. Each keeps the median of its repeats.
+  std::vector<std::vector<double>> times(factors.size());
+  for (std::size_t r = 0; r < 45; ++r) {
+    for (std::size_t step = 0; step < factors.size(); ++step) {
+      const std::size_t c = (r + step) % factors.size();
       WallTimer timer;
       spmv(a, std::span<const double>(x), std::span<double>(y));
-      sptrsv_lower_serial(factors.l, std::span<const double>(x),
+      sptrsv_lower_serial(factors[c].l, std::span<const double>(x),
                           std::span<double>(y));
-      sptrsv_upper_serial(factors.u, std::span<const double>(x),
+      sptrsv_upper_serial(factors[c].u, std::span<const double>(x),
                           std::span<double>(y));
-      times.push_back(timer.seconds());
+      times[c].push_back(timer.seconds());
     }
-    std::sort(times.begin(), times.end());
-    measured.push_back(times[times.size() / 2]);
+  }
+  std::vector<double> measured;
+  for (std::vector<double>& t : times) {
+    std::sort(t.begin(), t.end());
+    measured.push_back(t[t.size() / 2]);
   }
   EXPECT_GE(spearman(std::span<const double>(measured),
                      std::span<const double>(predicted)),

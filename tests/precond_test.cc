@@ -18,17 +18,19 @@ std::vector<double> dense_lu_product(const IluResult<double>& r) {
   const TriangularFactors<double> f = split_lu(r);
   const index_t n = f.l.rows;
   std::vector<double> out(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t p = f.l.rowptr[i]; p < f.l.rowptr[i + 1]; ++p) {
-      const index_t k = f.l.colind[static_cast<std::size_t>(p)];
-      const double lik = f.l.values[static_cast<std::size_t>(p)];
-      for (index_t q = f.u.rowptr[k]; q < f.u.rowptr[k + 1]; ++q) {
-        const index_t j = f.u.colind[static_cast<std::size_t>(q)];
-        out[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-            static_cast<std::size_t>(j)] +=
-            lik * f.u.values[static_cast<std::size_t>(q)];
-      }
+  auto add_row_of_u = [&](index_t i, index_t k, double lik) {
+    for (index_t q = f.u.rowptr[k]; q < f.u.rowptr[k + 1]; ++q) {
+      const index_t j = f.u.colind[static_cast<std::size_t>(q)];
+      out[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
+          static_cast<std::size_t>(j)] +=
+          lik * f.u.values[static_cast<std::size_t>(q)];
     }
+  };
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t p = f.l.rowptr[i]; p < f.l.rowptr[i + 1]; ++p)
+      add_row_of_u(i, f.l.colind[static_cast<std::size_t>(p)],
+                   f.l.values[static_cast<std::size_t>(p)]);
+    add_row_of_u(i, i, 1.0);  // L's implicit unit diagonal
   }
   return out;
 }
@@ -285,13 +287,16 @@ TEST(SplitLu, ShapesAndUnitDiagonal) {
   const TriangularFactors<double> f = split_lu(r);
   f.l.validate();
   f.u.validate();
-  EXPECT_EQ(f.l.nnz() + f.u.nnz(), r.lu.nnz() + a.rows);  // unit diag added
+  // L's unit diagonal is implicit: the split stores exactly LU's entries.
+  EXPECT_EQ(f.l.nnz() + f.u.nnz(), r.lu.nnz());
   for (index_t i = 0; i < a.rows; ++i) {
-    EXPECT_DOUBLE_EQ(f.l.at(i, i), 1.0);
-    EXPECT_NE(f.u.find(i, i), -1);
+    EXPECT_EQ(f.l.find(i, i), -1);
+    // U's diagonal opens its row.
+    ASSERT_LT(f.u.rowptr[i], f.u.rowptr[i + 1]);
+    EXPECT_EQ(f.u.colind[static_cast<std::size_t>(f.u.rowptr[i])], i);
     // Strict triangularity.
     for (index_t p = f.l.rowptr[i]; p < f.l.rowptr[i + 1]; ++p)
-      EXPECT_LE(f.l.colind[static_cast<std::size_t>(p)], i);
+      EXPECT_LT(f.l.colind[static_cast<std::size_t>(p)], i);
     for (index_t p = f.u.rowptr[i]; p < f.u.rowptr[i + 1]; ++p)
       EXPECT_GE(f.u.colind[static_cast<std::size_t>(p)], i);
   }
@@ -299,8 +304,8 @@ TEST(SplitLu, ShapesAndUnitDiagonal) {
 
 TEST(SplitLu, MatchesTriangleExtraction) {
   // The single counted pass must reproduce the triangle extraction exactly:
-  // L = strict lower part + a unit diagonal closing each row, U = diagonal +
-  // strict upper part, with ILU(K) fill included.
+  // L = strict lower part (unit diagonal implicit), U = diagonal + strict
+  // upper part, with ILU(K) fill included.
   for (const index_t k : {index_t{0}, index_t{2}}) {
     const IluResult<double> r = iluk(gen_grid_laplacian(9, 7, 2.0, 0.3, 5), k);
     const TriangularFactors<double> f = split_lu(r);
@@ -308,20 +313,9 @@ TEST(SplitLu, MatchesTriangleExtraction) {
         extract_triangle(r.lu, Triangle::kLower, DiagonalPolicy::kExclude);
     const Csr<double> upper =
         extract_triangle(r.lu, Triangle::kUpper, DiagonalPolicy::kInclude);
-    std::vector<index_t> l_rowptr{0}, l_colind;
-    std::vector<double> l_values;
-    for (index_t i = 0; i < strict.rows; ++i) {
-      for (index_t p = strict.rowptr[i]; p < strict.rowptr[i + 1]; ++p) {
-        l_colind.push_back(strict.colind[static_cast<std::size_t>(p)]);
-        l_values.push_back(strict.values[static_cast<std::size_t>(p)]);
-      }
-      l_colind.push_back(i);
-      l_values.push_back(1.0);
-      l_rowptr.push_back(static_cast<index_t>(l_colind.size()));
-    }
-    EXPECT_EQ(f.l.rowptr, l_rowptr) << "K=" << k;
-    EXPECT_EQ(f.l.colind, l_colind) << "K=" << k;
-    EXPECT_EQ(f.l.values, l_values) << "K=" << k;
+    EXPECT_EQ(f.l.rowptr, strict.rowptr) << "K=" << k;
+    EXPECT_EQ(f.l.colind, strict.colind) << "K=" << k;
+    EXPECT_EQ(f.l.values, strict.values) << "K=" << k;
     EXPECT_EQ(f.u.rowptr, upper.rowptr) << "K=" << k;
     EXPECT_EQ(f.u.colind, upper.colind) << "K=" << k;
     EXPECT_EQ(f.u.values, upper.values) << "K=" << k;

@@ -13,13 +13,13 @@ namespace spcg {
 namespace {
 
 TEST(Sptrsv, LowerSerialSmall) {
-  // L = [2 0; 1 4], b = [2, 9] -> x = [1, 2].
-  const Csr<double> l = csr_from_triplets<double>(
-      2, 2, {{0, 0, 2.0}, {1, 0, 1.0}, {1, 1, 4.0}});
+  // L = [1 0; 0.5 1] stored strictly lower (unit diagonal implicit),
+  // b = [2, 9] -> x = [2, 8].
+  const Csr<double> l = csr_from_triplets<double>(2, 2, {{1, 0, 0.5}});
   std::vector<double> b{2.0, 9.0}, x(2);
   sptrsv_lower_serial(l, std::span<const double>(b), std::span<double>(x));
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
+  EXPECT_DOUBLE_EQ(x[0], 2.0);
+  EXPECT_DOUBLE_EQ(x[1], 8.0);
 }
 
 TEST(Sptrsv, UpperSerialSmall) {
@@ -33,6 +33,7 @@ TEST(Sptrsv, UpperSerialSmall) {
 }
 
 TEST(Sptrsv, ZeroDiagonalThrows) {
+  // L's diagonal is implicit, so a stored one (zero or not) is malformed.
   const Csr<double> l =
       csr_from_triplets<double>(2, 2, {{0, 0, 0.0}, {1, 1, 1.0}});
   std::vector<double> b{1.0, 1.0}, x(2);
@@ -47,22 +48,24 @@ TEST(Sptrsv, ZeroDiagonalThrows) {
 }
 
 TEST(Sptrsv, InPlaceAliasingWorksForSerial) {
-  const Csr<double> l = csr_from_triplets<double>(
-      3, 3, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}, {2, 1, 1.0}, {2, 2, 4.0}});
-  std::vector<double> bx{1.0, 3.0, 5.0};
+  // L = [1; 1 1; 0 0.5 1] with the unit diagonal implicit.
+  const Csr<double> l =
+      csr_from_triplets<double>(3, 3, {{1, 0, 1.0}, {2, 1, 0.5}});
+  std::vector<double> bx{1.0, 2.0, 1.5};
   sptrsv_lower_serial(l, std::span<const double>(bx), std::span<double>(bx));
   EXPECT_DOUBLE_EQ(bx[0], 1.0);
   EXPECT_DOUBLE_EQ(bx[1], 1.0);
   EXPECT_DOUBLE_EQ(bx[2], 1.0);
 }
 
-/// Residual check ||L x - b||_inf for a solve.
+/// Residual check ||(L + I) x - b||_inf for a solve with the strictly
+/// lower L of split_lu() (unit diagonal implicit).
 double lower_residual(const Csr<double>& l, const std::vector<double>& x,
                       const std::vector<double>& b) {
   const std::vector<double> lx = spmv(l, x);
   double r = 0.0;
   for (std::size_t i = 0; i < b.size(); ++i)
-    r = std::max(r, std::abs(lx[i] - b[i]));
+    r = std::max(r, std::abs(lx[i] + x[i] - b[i]));
   return r;
 }
 
