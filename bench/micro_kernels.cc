@@ -6,6 +6,8 @@
 // benches.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "core/sparsify.h"
 #include "gen/generators.h"
 #include "precond/ilu.h"
@@ -25,6 +27,12 @@ const Csr<double>& grid_matrix() {
 
 const Csr<double>& circuit_matrix() {
   static const Csr<double> a = gen_grid_laplacian(96, 96, 2.0, 0.4, 9);
+  return a;
+}
+
+// The suite's econ_1500_8: ILU(K=2) fills it almost densely.
+const Csr<double>& econ_matrix() {
+  static const Csr<double> a = gen_economic(1500, 8, 0.9, 701);
   return a;
 }
 
@@ -116,6 +124,40 @@ void BM_IlukSymbolic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IlukSymbolic)->Arg(2)->Arg(5)->Arg(10);
+
+void BM_IlukSymbolicEcon(benchmark::State& state) {
+  const Csr<double>& a = econ_matrix();
+  for (auto _ : state) {
+    IlukSymbolic s = iluk_symbolic(a, 2);
+    benchmark::DoNotOptimize(s.pattern.colind.data());
+  }
+}
+BENCHMARK(BM_IlukSymbolicEcon)->Unit(benchmark::kMillisecond);
+
+// The numeric phase alone on a fixed ILU(K=2) pattern: value load plus
+// elimination, through the allocation-free refresh entry point. Items are
+// elimination updates.
+void ilu_numeric_bench(benchmark::State& state, const Csr<double>& a,
+                       index_t max_row_fill) {
+  IluResult<double> r = iluk(a, 2, IluOptions{}, max_row_fill);
+  IluScratch scratch(a.rows);
+  for (auto _ : state) {
+    ilu_refactorize(r, a, IluOptions{}, &scratch);
+    benchmark::DoNotOptimize(r.lu.values.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(r.elimination_ops));
+}
+
+void BM_IlukNumeric(benchmark::State& state) {
+  ilu_numeric_bench(state, circuit_matrix(), 512);
+}
+BENCHMARK(BM_IlukNumeric);
+
+void BM_IlukNumericEcon(benchmark::State& state) {
+  ilu_numeric_bench(state, econ_matrix(), 0);
+}
+BENCHMARK(BM_IlukNumericEcon)->Unit(benchmark::kMillisecond);
 
 void BM_LevelSchedule(benchmark::State& state) {
   const Csr<double>& a = grid_matrix();

@@ -92,11 +92,22 @@ struct SpcgSetup {
   }
 };
 
+/// Throws spcg::Error naming the field when an ILU(K) option is out of
+/// range, before any setup work runs.
+inline void validate_spcg_options(const SpcgOptions& opt) {
+  SPCG_CHECK_MSG(opt.fill_level >= 0,
+                 "fill_level must be >= 0, got " << opt.fill_level);
+  SPCG_CHECK_MSG(opt.max_row_fill >= 0,
+                 "max_row_fill must be >= 0 (0 = unlimited), got "
+                     << opt.max_row_fill);
+}
+
 /// Phases 1–2 of the pipeline (sparsify + factorize + inspect), reusable
 /// across any number of right-hand sides.
 template <class T>
 SpcgSetup<T> spcg_setup(const Csr<T>& a, const SpcgOptions& opt = {}) {
   SPCG_CHECK(a.rows == a.cols);
+  validate_spcg_options(opt);
   SpcgSetup<T> s;
 
   // Phase 1: wavefront-aware sparsification (Algorithm 2).

@@ -48,22 +48,36 @@ struct IluResult {
   std::uint64_t elimination_ops = 0;
 };
 
+/// Caller-owned scratch of the numeric phase, sized for n rows. `pos` (the
+/// column -> position scatter of the row being eliminated) is all -1 between
+/// uses; `tail` (where each finished row's contiguous U run starts) is
+/// written before it is read. The refactorize path keeps one of these so a
+/// numeric-only refresh never allocates.
+struct IluScratch {
+  std::vector<index_t> pos;
+  std::vector<index_t> tail;
+
+  IluScratch() = default;
+  explicit IluScratch(index_t n)
+      : pos(static_cast<std::size_t>(n), -1),
+        tail(static_cast<std::size_t>(n), 0) {}
+};
+
 namespace detail {
 
-/// Numeric ILU on the (already sorted, diagonal-present) pattern in `lu`.
-/// `lu.values` must hold A's values at A's positions and 0 at fill positions.
-/// `pos` is caller-owned scatter scratch of size n whose entries are all -1
-/// on entry; it is restored to all -1 on return. The refactorize path passes
-/// a preallocated buffer here so a numeric-only refresh never allocates.
-template <class T>
-void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
-                          const IluOptions& opt, bool& breakdown,
-                          std::uint64_t& elimination_ops,
-                          std::span<index_t> pos) {
-  const index_t n = lu.rows;
-  SPCG_CHECK(static_cast<index_t>(pos.size()) == n);
-  diag_pos.assign(static_cast<std::size_t>(n), -1);
+/// Shortest contiguous U tail the elimination updates as one straight run
+/// instead of through pos[]. Shorter tails (every tail of a 5-point ILU(0)
+/// has length 1) are not worth the two extra pos[] lookups.
+inline constexpr index_t kMinContiguousTail = 8;
 
+/// The row loop of ilu_numeric_in_place; kTails compiles the
+/// contiguous-tail bookkeeping in.
+template <bool kTails, class T>
+void ilu_numeric_rows(Csr<T>& lu, std::vector<index_t>& diag_pos,
+                      const IluOptions& opt, bool& breakdown,
+                      std::uint64_t& elimination_ops, std::span<index_t> pos,
+                      std::span<index_t> tail) {
+  const index_t n = lu.rows;
   for (index_t i = 0; i < n; ++i) {
     const index_t row_begin = lu.rowptr[static_cast<std::size_t>(i)];
     const index_t row_end = lu.rowptr[static_cast<std::size_t>(i) + 1];
@@ -89,12 +103,29 @@ void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
       const T lik = lu.values[static_cast<std::size_t>(p)] / pivot;
       lu.values[static_cast<std::size_t>(p)] = lik;
       // Subtract lik * (U-part of row k) from row i, restricted to pattern.
-      elimination_ops +=
-          static_cast<std::uint64_t>(lu.rowptr[static_cast<std::size_t>(k) + 1] -
-                                     (dk + 1)) +
-          1;
-      for (index_t q = dk + 1; q < lu.rowptr[static_cast<std::size_t>(k) + 1];
-           ++q) {
+      const index_t u_end = lu.rowptr[static_cast<std::size_t>(k) + 1];
+      elimination_ops += static_cast<std::uint64_t>(u_end - (dk + 1)) + 1;
+      index_t masked_end = u_end;
+      if (kTails && u_end - (dk + 1) >= kMinContiguousTail) {
+        const index_t run = tail[static_cast<std::size_t>(k)];
+        const index_t first = pos[static_cast<std::size_t>(
+            lu.colind[static_cast<std::size_t>(run)])];
+        const index_t last = pos[static_cast<std::size_t>(
+            lu.colind[static_cast<std::size_t>(u_end) - 1])];
+        if (u_end - run >= kMinContiguousTail && first >= 0 &&
+            last - first == u_end - 1 - run) {
+          T* __restrict dst = lu.values.data() + first;
+          const T* __restrict src = lu.values.data() + run;
+          const index_t len = u_end - run;
+          // Vectorized at -O2 only when asked: on econ_1500_8 at K = 2 this
+          // loop is 97% of the updates and halves the phase (0.92-1.11 s
+          // scalar, 0.62-0.79 s vectorized). Lanes do the same IEEE ops.
+#pragma omp simd
+          for (index_t t = 0; t < len; ++t) dst[t] -= lik * src[t];
+          masked_end = run;
+        }
+      }
+      for (index_t q = dk + 1; q < masked_end; ++q) {
         const index_t j = lu.colind[static_cast<std::size_t>(q)];
         const index_t pj = pos[static_cast<std::size_t>(j)];
         if (pj >= 0)
@@ -117,20 +148,67 @@ void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
       breakdown = true;
     }
 
+    // Record where row i's trailing run of consecutive columns starts. Only
+    // rows whose U-part could hold a long enough run are recorded, and only
+    // those are read back.
+    if (kTails && row_end - (di + 1) >= kMinContiguousTail) {
+      index_t run = row_end - 1;
+      while (run > di + 1 && lu.colind[static_cast<std::size_t>(run) - 1] ==
+                                 lu.colind[static_cast<std::size_t>(run)] - 1)
+        --run;
+      tail[static_cast<std::size_t>(i)] = run;
+    }
+
     // Clear scatter array.
     for (index_t p = row_begin; p < row_end; ++p)
       pos[static_cast<std::size_t>(lu.colind[static_cast<std::size_t>(p)])] = -1;
   }
 }
 
-/// Allocating convenience overload: owns the scatter scratch itself.
+/// Numeric ILU on the (already sorted, diagonal-present) pattern in `lu`.
+/// `lu.values` must hold A's values at A's positions and 0 at fill positions.
+/// `scratch.pos` is all -1 on entry and restored to all -1 on return.
+///
+/// Row i is eliminated against each k < i of its pattern: l_ik = a_ik/u_kk,
+/// then a_ij -= l_ik * u_kj for every j of row k's U-part present in row i.
+/// When row k finishes, the start of its trailing run of consecutive
+/// columns is recorded; when row i holds that run contiguously too (checked
+/// by the positions of its first and last column), the run is updated as
+/// one straight loop. Each target still gets the same single update, so the
+/// result is bitwise that of the masked pos[] loop.
+template <class T>
+void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
+                          const IluOptions& opt, bool& breakdown,
+                          std::uint64_t& elimination_ops, IluScratch& scratch) {
+  const index_t n = lu.rows;
+  SPCG_CHECK(static_cast<index_t>(scratch.pos.size()) == n &&
+             static_cast<index_t>(scratch.tail.size()) == n);
+  diag_pos.assign(static_cast<std::size_t>(n), -1);
+  // A U-part can hold a long enough run only in a row longer than
+  // kMinContiguousTail; without one (ILU(0) on stencils) the bookkeeping
+  // is compiled out rather than tested per pivot.
+  bool long_rows = false;
+  for (index_t i = 0; i < n && !long_rows; ++i)
+    long_rows = lu.rowptr[static_cast<std::size_t>(i) + 1] -
+                    lu.rowptr[static_cast<std::size_t>(i)] >
+                kMinContiguousTail;
+  const std::span<index_t> pos(scratch.pos);
+  const std::span<index_t> tail(scratch.tail);
+  if (long_rows)
+    ilu_numeric_rows<true>(lu, diag_pos, opt, breakdown, elimination_ops, pos,
+                           tail);
+  else
+    ilu_numeric_rows<false>(lu, diag_pos, opt, breakdown, elimination_ops,
+                            pos, tail);
+}
+
+/// Allocating convenience overload: owns the scratch itself.
 template <class T>
 void ilu_numeric_in_place(Csr<T>& lu, std::vector<index_t>& diag_pos,
                           const IluOptions& opt, bool& breakdown,
                           std::uint64_t& elimination_ops) {
-  std::vector<index_t> pos(static_cast<std::size_t>(lu.rows), -1);
-  ilu_numeric_in_place(lu, diag_pos, opt, breakdown, elimination_ops,
-                       std::span<index_t>(pos));
+  IluScratch scratch(lu.rows);
+  ilu_numeric_in_place(lu, diag_pos, opt, breakdown, elimination_ops, scratch);
 }
 
 /// Load A's values into the sorted pattern `lu` (same rows, pattern ⊇ A's
@@ -182,28 +260,28 @@ IluResult<T> ilu0(const Csr<T>& a, const IluOptions& opt = {}) {
 ///
 /// `max_row_fill` caps the stored entries per row as a safety valve against
 /// quadratic blow-up on scattered patterns (0 = unlimited). When the cap
-/// trips, the lowest-level (most important) entries are kept and
-/// `truncated_rows` counts the affected rows.
+/// trips, the diagonal and the max_row_fill - 1 lowest (level, column)
+/// pairs of the other entries are kept, and `truncated_rows` counts the
+/// affected rows.
 struct IlukSymbolic {
   Csr<char> pattern;              // values unused; structure only
   std::vector<index_t> levels;    // level of fill per stored entry
   index_t truncated_rows = 0;
 };
 
-IlukSymbolic iluk_symbolic(const Csr<double>& a, index_t k,
+/// Structure-only entry point: `rowptr`/`colind` of a square n x n matrix
+/// with sorted rows and every diagonal stored.
+IlukSymbolic iluk_symbolic(index_t n, std::span<const index_t> rowptr,
+                           std::span<const index_t> colind, index_t k,
                            index_t max_row_fill = 0);
 
+/// Level-of-fill is purely structural: reads A's rowptr/colind directly.
 template <class T>
-IlukSymbolic iluk_symbolic_t(const Csr<T>& a, index_t k,
-                             index_t max_row_fill = 0) {
-  // Level-of-fill is purely structural; reuse the double-based entry point.
-  Csr<double> shadow;
-  shadow.rows = a.rows;
-  shadow.cols = a.cols;
-  shadow.rowptr = a.rowptr;
-  shadow.colind = a.colind;
-  shadow.values.assign(a.values.size(), 1.0);
-  return iluk_symbolic(shadow, k, max_row_fill);
+IlukSymbolic iluk_symbolic(const Csr<T>& a, index_t k,
+                           index_t max_row_fill = 0) {
+  SPCG_CHECK(a.rows == a.cols);
+  return iluk_symbolic(a.rows, std::span<const index_t>(a.rowptr),
+                       std::span<const index_t>(a.colind), k, max_row_fill);
 }
 
 /// ILU(K): symbolic fill to level `k`, then numeric factorization on the
@@ -212,7 +290,7 @@ template <class T>
 IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
                   index_t max_row_fill = 0) {
   SPCG_CHECK(a.rows == a.cols);
-  const IlukSymbolic sym = iluk_symbolic_t(a, k, max_row_fill);
+  const IlukSymbolic sym = iluk_symbolic(a, k, max_row_fill);
   IluResult<T> r;
   r.lu.rows = a.rows;
   r.lu.cols = a.cols;
@@ -236,14 +314,13 @@ IluResult<T> iluk(const Csr<T>& a, index_t k, const IluOptions& opt = {},
 /// only legal when the ILU(K) per-row fill cap truncated them out of the
 /// original setup, mirroring iluk()'s scatter.
 ///
-/// `pos_scratch`, when non-empty, must be a caller-owned buffer of size
-/// a.rows with every entry -1 (restored on return) — passing it makes the
-/// refresh allocation-free apart from diag_pos.assign, which reuses its
-/// existing capacity. Empty = allocate internally.
+/// `scratch`, when given, must be a caller-owned IluScratch(a.rows) —
+/// passing it makes the refresh allocation-free apart from diag_pos.assign,
+/// which reuses its existing capacity. Null = allocate internally.
 template <class T>
 void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
                      const IluOptions& opt = {},
-                     std::span<index_t> pos_scratch = {}) {
+                     IluScratch* scratch = nullptr) {
   SPCG_CHECK(a.rows == a.cols);
   SPCG_CHECK(r.lu.rows == a.rows && r.lu.cols == a.cols);
   // ILU(0) setups (no fill, pattern == A's) must find every entry; ILU(K)
@@ -254,12 +331,12 @@ void ilu_refactorize(IluResult<T>& r, const Csr<T>& a,
   detail::load_pattern_values(r.lu, a, !pattern_is_a);
   r.breakdown = false;
   r.elimination_ops = 0;
-  if (pos_scratch.empty()) {
+  if (scratch == nullptr) {
     detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
                                  r.elimination_ops);
   } else {
     detail::ilu_numeric_in_place(r.lu, r.diag_pos, opt, r.breakdown,
-                                 r.elimination_ops, pos_scratch);
+                                 r.elimination_ops, *scratch);
   }
 }
 

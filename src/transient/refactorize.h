@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/spcg.h"
@@ -37,9 +36,8 @@ namespace spcg {
 /// is allocation-free. All maps are positions (CSR entry indices), so a
 /// refresh is pure gather/scatter over value arrays.
 struct NumericRefreshWorkspace {
-  /// Scatter scratch for the numeric elimination: size n, every entry -1
-  /// between uses (ilu_numeric_in_place restores it).
-  std::vector<index_t> pos;
+  /// Scratch of the numeric elimination (ilu_numeric_in_place restores it).
+  IluScratch numeric;
   /// For each a_hat entry: the position of the same (i, j) in A. Empty for
   /// baseline setups (no sparsification — the factorization input is A).
   std::vector<index_t> keep_pos;
@@ -64,7 +62,7 @@ NumericRefreshWorkspace build_numeric_refresh(const SpcgSetup<T>& setup,
   NumericRefreshWorkspace ws;
   ws.expected_rows = a.rows;
   ws.expected_nnz = a.nnz();
-  ws.pos.assign(static_cast<std::size_t>(a.rows), -1);
+  ws.numeric = IluScratch(a.rows);
 
   if (setup.decision.has_value()) {
     const Csr<T>& a_hat = setup.decision->chosen.a_hat;
@@ -148,8 +146,7 @@ void refresh_setup_numerics(SpcgSetup<T>& setup, const Csr<T>& a_new,
     input = &split.a_hat;
   }
 
-  ilu_refactorize(setup.factorization, *input, opt.ilu,
-                  std::span<index_t>(ws.pos));
+  ilu_refactorize(setup.factorization, *input, opt.ilu, &ws.numeric);
 
   // Propagate the combined factor into the split L/U the level schedules
   // reference — value writes only, the triangular patterns are untouched.

@@ -197,6 +197,31 @@ TEST(IlukSymbolic, RowCapTruncatesAndReports) {
   capped.pattern.validate();
 }
 
+TEST(Iluk, RowCapKeepsTheDiagonal) {
+  // Caps below a row's level-0 entries used to keep the lowest (level,
+  // column) pairs only, which cut the diagonal from row 1 on and made the
+  // numeric phase throw. The diagonal now always stays, counted against the
+  // cap; a cap of 1 leaves a diagonal factor.
+  const Csr<double> a = gen_poisson2d(6, 6);
+  for (const index_t cap : {1, 2, 3}) {
+    const IlukSymbolic s = iluk_symbolic(a, 2, cap);
+    EXPECT_GT(s.truncated_rows, 0) << "cap " << cap;
+    for (index_t i = 0; i < a.rows; ++i) {
+      EXPECT_LE(s.pattern.rowptr[i + 1] - s.pattern.rowptr[i], cap);
+      EXPECT_GE(s.pattern.find(i, i), 0) << "cap " << cap << " row " << i;
+    }
+    const IluResult<double> r = iluk(a, 2, IluOptions{}, cap);
+    for (index_t i = 0; i < a.rows; ++i)
+      EXPECT_EQ(r.lu.colind[static_cast<std::size_t>(
+                    r.diag_pos[static_cast<std::size_t>(i)])],
+                i);
+  }
+  const IluResult<double> diag = iluk(a, 2, IluOptions{}, 1);
+  EXPECT_EQ(diag.lu.nnz(), a.rows);
+  for (index_t i = 0; i < a.rows; ++i)
+    EXPECT_EQ(diag.lu.values[static_cast<std::size_t>(i)], a.at(i, i));
+}
+
 TEST(Iluk, RowCapMayDropOriginalEntriesWithoutThrowing) {
   // A dense-ish row exceeding the cap: the symbolic phase truncates it and
   // the numeric scatter must tolerate the lost original entries.

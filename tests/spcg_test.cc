@@ -1,6 +1,9 @@
 // Tests for the end-to-end SPCG driver (Figure 2 pipeline).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "autotune/fill_level.h"
 #include "core/spcg.h"
 #include "core/spcg_report.h"
@@ -63,6 +66,36 @@ TEST(Spcg, IlukVariantFactorsWithFill) {
   EXPECT_TRUE(r.solve.converged());
   EXPECT_GT(r.factorization.fill_nnz, 0);
   EXPECT_GT(r.factor_nnz, a.nnz());
+}
+
+/// Runs spcg_setup and returns the spcg::Error message ("" when none).
+std::string setup_error(const Csr<double>& a, const SpcgOptions& opt) {
+  try {
+    (void)spcg_setup(a, opt);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Spcg, NegativeIlukOptionsFailAtSetupEntry) {
+  const Csr<double> a = gen_poisson2d(12, 12);
+  SpcgOptions opt;
+  opt.preconditioner = PrecondKind::kIluK;
+  opt.fill_level = 2;
+  ASSERT_EQ(setup_error(a, opt), "");
+
+  SpcgOptions bad_cap = opt;
+  bad_cap.max_row_fill = -4;  // used to mean "unlimited" silently
+  EXPECT_NE(setup_error(a, bad_cap).find("max_row_fill"), std::string::npos);
+
+  SpcgOptions bad_level = opt;
+  bad_level.fill_level = -1;
+  EXPECT_NE(setup_error(a, bad_level).find("fill_level"), std::string::npos);
+
+  // Checked before Algorithm 2 runs: its own option check never fires.
+  bad_level.sparsify.tau = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(setup_error(a, bad_level).find("fill_level"), std::string::npos);
 }
 
 TEST(Spcg, IlukConvergesFasterThanIlu0) {
