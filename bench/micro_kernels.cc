@@ -13,6 +13,7 @@
 #include "precond/ilu.h"
 #include "precond/preconditioner.h"
 #include "solver/pcg.h"
+#include "sparse/norms.h"
 #include "sptrsv/sptrsv.h"
 #include "wavefront/levels.h"
 
@@ -47,6 +48,39 @@ void BM_Spmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_Spmv);
+
+// The threaded kernels on a system above kParallelGrain (1M rows, so the
+// vectors stream from memory); the argument is the thread count.
+const Csr<double>& large_grid_matrix() {
+  static const Csr<double> a = gen_poisson2d(1024, 1024);
+  return a;
+}
+
+void BM_SpmvThreads(benchmark::State& state) {
+  const Csr<double>& a = large_grid_matrix();
+  const int threads = static_cast<int>(state.range(0));
+  std::vector<double> x(static_cast<std::size_t>(a.rows), 1.0);
+  std::vector<double> y(x.size());
+  for (auto _ : state) {
+    spmv(a, std::span<const double>(x), std::span<double>(y), threads);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_SpmvThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_AxpyThreads(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(large_grid_matrix().rows);
+  const int threads = static_cast<int>(state.range(0));
+  std::vector<double> x(n, 1.0);
+  std::vector<double> y(n, 0.0);
+  for (auto _ : state) {
+    axpy(1e-9, std::span<const double>(x), std::span<double>(y), threads);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_AxpyThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Items are the entries of the unit lower triangle, diagonal included, so
 // rates stay comparable whether or not L stores its unit diagonal.

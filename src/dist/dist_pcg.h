@@ -205,6 +205,9 @@ class DistSpace {
     return static_cast<std::size_t>(local_.rows());
   }
   [[nodiscard]] bool is_root() const { return comm_.rank() == 0; }
+  /// One thread per rank: rank 0 runs on the caller's thread, beside the
+  /// other ranks' threads.
+  [[nodiscard]] static int threads() { return 1; }
 
   /// y = A x: the interior SpMV runs while the halo is in flight, then the
   /// boundary block adds the gathered neighbor values.

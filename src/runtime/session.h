@@ -32,6 +32,7 @@
 #include "runtime/batch.h"
 #include "runtime/fingerprint.h"
 #include "runtime/setup_cache.h"
+#include "support/parallel.h"
 #include "support/timer.h"
 #include "support/trace.h"
 #include "transient/refactorize.h"
@@ -184,6 +185,7 @@ class SolverSession {
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
+        pin_one_thread();  // the pool already spreads the right-hand sides
         try {
           for (std::size_t c = static_cast<std::size_t>(w); c < bs.size();
                c += static_cast<std::size_t>(workers))

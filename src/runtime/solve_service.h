@@ -35,6 +35,7 @@
 #include "runtime/session.h"
 #include "runtime/setup_cache.h"
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/telemetry.h"
 #include "support/trace.h"
 
@@ -254,6 +255,7 @@ class SolveService {
   };
 
   void worker_loop() {
+    pin_one_thread();  // one solve per worker, each on one thread
     for (;;) {
       Job job;
       {

@@ -16,6 +16,7 @@
 //   kCategory, kReduceSpan       trace category and reduction span name
 //   size()                       local vector length
 //   is_root()                    whether this copy keeps the history
+//   threads()                    thread count for axpy/xpby (and its matvec)
 //   matvec(x, y)                 y = A x (emits its own spans)
 //   precondition(r, z)           z = M^{-1} r
 //   reduce(red)                  fold local partial sums, in place
@@ -27,6 +28,12 @@
 // ranks on the same collective sequence. Partial sums are accumulated in T
 // and carried as double; the T -> double -> T round trip is exact, so the
 // local form reduces in T exactly like a plain dot().
+//
+// LocalSpace runs SpMV, axpy and xpby row-parallel on default_threads()
+// (support/parallel.h); each entry is computed as in the serial loop, so x,
+// the iteration count and the history do not depend on the thread count.
+// The partial sums stay one in-order pass on one thread: a blocked threaded
+// sum would change every history above its block size.
 //
 // Both loops share the edge-case rules: options are validated before any
 // work, b = 0 answers x = 0 (converged, 0 iterations) whatever the
@@ -44,8 +51,10 @@
 #include "analysis/alloc_audit.h"
 #include "precond/preconditioner.h"
 #include "sparse/csr.h"
+#include "sparse/norms.h"
 #include "sparse/ops.h"
 #include "support/error.h"
+#include "support/parallel.h"
 #include "support/trace.h"
 
 namespace spcg {
@@ -235,6 +244,7 @@ SolveResult<T> classic_cg(Space& vs, std::span<const T> b,
   const std::size_t n = vs.size();
   SPCG_CHECK(b.size() == n);
   const bool history = opt.record_history && vs.is_root();
+  const int threads = vs.threads();
   const auto cat = Space::kCategory;
   SolveResult<T> res;
   res.x = std::move(wk.x);  // donor buffer
@@ -300,8 +310,8 @@ SolveResult<T> classic_cg(Space& vs, std::span<const T> b,
     const T alpha = rz / pw;
     {
       Span span("axpy", cat);
-      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
-      axpy(-alpha, std::span<const T>(wk.w), std::span<T>(wk.r));
+      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x), threads);
+      axpy(-alpha, std::span<const T>(wk.w), std::span<T>(wk.r), threads);
     }
     {
       Span span("precond", cat);
@@ -324,7 +334,7 @@ SolveResult<T> classic_cg(Space& vs, std::span<const T> b,
     rz = rz_next;
     {
       Span span("axpy", cat);
-      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p));
+      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p), threads);
     }
     r_norm = detail::norm_from_sumsq<T>(red[1]);
     if (history) res.residual_history.push_back(r_norm);
@@ -345,6 +355,7 @@ SolveResult<T> pipelined_cg(Space& vs, std::span<const T> b,
   const std::size_t n = vs.size();
   SPCG_CHECK(b.size() == n);
   const bool history = opt.record_history && vs.is_root();
+  const int threads = vs.threads();
   const auto cat = Space::kCategory;
   SolveResult<T> res;
   res.x = std::move(wk.x);  // donor buffer
@@ -419,12 +430,12 @@ SolveResult<T> pipelined_cg(Space& vs, std::span<const T> b,
     }
     {
       Span span("axpy", cat);
-      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p));
-      xpby(std::span<const T>(wk.w), beta, std::span<T>(wk.s));
-      xpby(std::span<const T>(wk.mw), beta, std::span<T>(wk.q));
-      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x));
-      axpy(-alpha, std::span<const T>(wk.s), std::span<T>(wk.r));
-      axpy(-alpha, std::span<const T>(wk.q), std::span<T>(wk.z));
+      xpby(std::span<const T>(wk.z), beta, std::span<T>(wk.p), threads);
+      xpby(std::span<const T>(wk.w), beta, std::span<T>(wk.s), threads);
+      xpby(std::span<const T>(wk.mw), beta, std::span<T>(wk.q), threads);
+      axpy(alpha, std::span<const T>(wk.p), std::span<T>(res.x), threads);
+      axpy(-alpha, std::span<const T>(wk.s), std::span<T>(wk.r), threads);
+      axpy(-alpha, std::span<const T>(wk.q), std::span<T>(wk.z), threads);
     }
     vs.matvec(std::span<const T>(wk.z), std::span<T>(wk.w));
     gamma_old = gamma;
@@ -463,7 +474,8 @@ class LocalSpace {
   static constexpr const char* kCategory = "solve";
   static constexpr const char* kReduceSpan = "reduce";
 
-  LocalSpace(const Csr<T>& a, const Preconditioner<T>& m) : a_(a), m_(m) {
+  LocalSpace(const Csr<T>& a, const Preconditioner<T>& m)
+      : a_(a), m_(m), threads_(default_threads()) {
     SPCG_CHECK(a.rows == a.cols);
     SPCG_CHECK(m.rows() == a.rows);
   }
@@ -472,10 +484,11 @@ class LocalSpace {
     return static_cast<std::size_t>(a_.rows);
   }
   [[nodiscard]] static bool is_root() { return true; }
+  [[nodiscard]] int threads() const { return threads_; }
 
   void matvec(std::span<const T> x, std::span<T> y) const {
     Span span("spmv", kCategory);
-    spmv(a_, x, y);
+    spmv(a_, x, y, threads_);
   }
   void precondition(std::span<const T> r, std::span<T> z) const {
     m_.apply(r, z);
@@ -489,6 +502,7 @@ class LocalSpace {
  private:
   const Csr<T>& a_;
   const Preconditioner<T>& m_;
+  int threads_;
 };
 
 }  // namespace spcg
